@@ -14,7 +14,6 @@ import itertools
 from .core import GREVLEX, AlgebraError, ExponentOverflow, PolyRing, Polynomial, mono_pow
 from .groebner import (
     INFINITE,
-    buchberger,
     eliminate,
     normal_form,
     remap_polynomial,

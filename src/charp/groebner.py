@@ -3,13 +3,17 @@
 Reduced bases are canonical for a fixed order, which makes them the ideal
 equality oracle used throughout the package.  Pure functions over immutable
 inputs; desk-scale inputs only (no F4/F5, no Hilbert-driven variants).
+
+Colengths are counted column by column: along the variable with the largest
+pure-power bound, the standard monomials over each point of the remaining
+box form one column, whose height the leads give directly, so the count
+walks the staircase's base instead of testing every point of the box.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 
 from .core import (
     GREVLEX,
@@ -17,7 +21,6 @@ from .core import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -236,6 +239,44 @@ def krull_dimension(gb, nvars: int) -> int:
     return best
 
 
+def _staircase(gb, nvars: int):
+    """Column heights of the staircase of the lead-term ideal of ``gb``.
+
+    ``gb`` is not the unit ideal.  Returns None when some variable has no
+    pure power among the leads (infinite colength), else ``(axis, columns)``:
+    ``axis`` has the largest pure-power bound b_axis, and ``columns`` lists
+    ``(prefix, height)`` for each point ``prefix`` of the box prod(range(b_i))
+    with ``axis`` removed, in ``itertools.product`` order.  The standard
+    monomials over ``prefix`` have exponent t < height on ``axis``; height
+    is the least m[axis] over the leads m whose other exponents divide
+    ``prefix``, which the pure power of ``axis`` caps at b_axis.  With no
+    variables, ``axis`` is None and the box's one point () is one column.
+    """
+    leads = [g.leading_monomial(GREVLEX) for g in gb]
+    bounds = [None] * nvars
+    for m in leads:
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) == 1:
+            i = support[0]
+            if bounds[i] is None or m[i] < bounds[i]:
+                bounds[i] = m[i]
+    if any(b is None for b in bounds):
+        return None
+    if not nvars:
+        return None, [((), 1)]
+    axis = max(range(nvars), key=lambda i: (bounds[i], i))
+    # leads as (exponent on axis, other exponents), lowest cut first
+    cuts = sorted((m[axis], m[:axis] + m[axis + 1:]) for m in leads)
+    others = bounds[:axis] + bounds[axis + 1:]
+    columns = []
+    for prefix in itertools.product(*(range(b) for b in others)):
+        for height, rest in cuts:
+            if mono_divides(rest, prefix):
+                break
+        columns.append((prefix, height))
+    return axis, columns
+
+
 def colength(gb, nvars: int):
     """Number of standard monomials of the lead-term ideal, or INFINITE.
 
@@ -243,42 +284,28 @@ def colength(gb, nvars: int):
     """
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return 0
-    leads = [g.leading_monomial(GREVLEX) for g in gb]
-    bounds = [None] * nvars
-    for m in leads:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
+    staircase = _staircase(gb, nvars)
+    if staircase is None:
         return INFINITE
-    count = 0
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(m, exps) for m in leads):
-            count += 1
-    return count
+    return sum(height for _, height in staircase[1])
 
 
 def standard_monomials(gb, nvars: int):
-    """All monomials outside the lead-term ideal (finite colength required)."""
+    """All monomials outside the lead-term ideal (finite colength required).
+
+    Sorted ascending as exponent tuples, i.e. in ``itertools.product`` order
+    over the box of pure-power bounds.
+    """
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return []
-    leads = [g.leading_monomial(GREVLEX) for g in gb]
-    bounds = [None] * nvars
-    for m in leads:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
+    staircase = _staircase(gb, nvars)
+    if staircase is None:
         raise AlgebraError("infinite colength: no pure power for some variable")
-    out = []
-    for exps in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(m, exps) for m in leads):
-            out.append(exps)
-    return out
+    axis, columns = staircase
+    if axis is None:
+        return [()]
+    return sorted(prefix[:axis] + (t,) + prefix[axis:]
+                  for prefix, height in columns for t in range(height))
 
 
 def divide_exact(f: Polynomial, g: Polynomial):

@@ -11,17 +11,14 @@ of the full class.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 
 from .core import AlgebraError, Polynomial
 from .frobenius import bracket_power, frobenius_q
-from .groebner import normal_form
 from .rings import (
     Ideal,
     ParameterSearchFailed,
-    RingContext,
     extend_to_m_primary,
     find_parameter_ideal,
     is_unmixed,

@@ -10,8 +10,6 @@ lifted reduced Groebner bases coincide.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import reduce
 
 from .core import (
     GREVLEX,
@@ -20,7 +18,6 @@ from .core import (
     Polynomial,
     PrimeField,
     RingMismatch,
-    mono_deg,
 )
 from .groebner import (
     INFINITE,
@@ -319,14 +316,6 @@ class Ideal:
 
     def colon_element(self, f: Polynomial) -> "Ideal":
         return self.colon(Ideal(self.ring, [f]))
-
-
-def ideal_op(a: Ideal, b: Ideal, op: str) -> Ideal:
-    if op == "sum":
-        return a + b
-    if op == "product":
-        return a * b
-    raise AlgebraError(f"unknown ideal op {op!r}")
 
 
 # ---------------------------------------------------------------------------

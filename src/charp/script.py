@@ -52,6 +52,13 @@ def _split_args(argtext: str):
     return [a for a in parts if a]
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScriptError(f"expected an integer, got {text!r}")
+
+
 class ScriptRunner:
     """Executes one script; collects a SuiteReport-shaped result."""
 
@@ -152,12 +159,14 @@ class ScriptRunner:
             if fn == "star_colon":
                 return star_colon(self._ideal(args[0]))
             if fn == "iq":
-                return iq_approx(self._ideal(args[0]), int(args[1]))
+                return iq_approx(self._ideal(args[0]), _integer(args[1]))
             if fn == "tau":
                 return test_ideal(ring).tau
             if fn == "tilde":
-                depth = int(args[1]) if len(args) > 1 else 2
-                samples = int(args[2]) if len(args) > 2 else 3
+                if len(args) > 3:
+                    raise ScriptError("wrong arity for tilde()")
+                depth = _integer(args[1]) if len(args) > 1 else 2
+                samples = _integer(args[2]) if len(args) > 2 else 3
                 total, _ = tilde_approx(self._ideal(args[0]), depth, samples, self.rng)
                 return total
         except IndexError:

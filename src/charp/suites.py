@@ -461,6 +461,8 @@ def verify_suite(name: str, params: dict | None = None) -> dict:
     for key in DEFAULTS:
         if params.get(key) is not None:
             merged[key] = int(params[key])
+        if merged[key] < 0:
+            raise AlgebraError(f"{key} must be non-negative, got {merged[key]}")
     if ideal_text:
         merged["ideal"] = Ideal(ring, [ring.parse(g)
                                        for g in ideal_text.split(",")])

@@ -60,6 +60,12 @@ class TestRunCommand:
         f.write_text(BAD_SCRIPT)
         assert main(["run", str(f)]) == 2
 
+    def test_exit_two_on_non_integer_argument(self, tmp_path, capsys):
+        f = tmp_path / "arg.alg"
+        f.write_text("ring R = char 2 vars x, y;\nideal A = x, y;\nB = iq(A,foo);")
+        assert main(["run", str(f)]) == 2
+        assert capsys.readouterr().err == "error: expected an integer, got 'foo'\n"
+
     def test_exit_two_on_missing_file(self):
         assert main(["run", "/nonexistent/x.alg"]) == 2
 
@@ -105,6 +111,13 @@ class TestVerifyCommand:
     def test_named_ring_flag(self):
         assert main(["verify", "decr", "--ring", "poly2_2",
                      "--qmax", "1"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--qmax", "--depth", "--samples", "--tmax"])
+    def test_negative_parameter_is_input_error(self, flag, capsys):
+        assert main(["verify", "decr", flag, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("must be non-negative, got -1\n")
+        assert err.count("\n") == 1
 
     def test_entry_point_installed(self):
         result = run_alg(["verify", "paper-example"])

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from charp.core import GREVLEX, MonomialOrder, PolyRing, Polynomial
+from charp.core import GREVLEX, AlgebraError, MonomialOrder, PolyRing, Polynomial
 from charp.groebner import (
     INFINITE,
     buchberger,
@@ -124,6 +125,61 @@ class TestColength:
         for m in standard_monomials(gb, 3):
             f = Polynomial(R, {m: 1})
             assert normal_form(f, gb) == f
+
+
+def box_scan(leads, nvars):
+    """Standard monomials by testing every point of the box of pure-power
+    bounds against every lead; None when the colength is infinite."""
+    if any(not any(m) for m in leads):
+        return []
+    bounds = []
+    for i in range(nvars):
+        powers = [m[i] for m in leads
+                  if m[i] and all(e == 0 for j, e in enumerate(m) if j != i)]
+        if not powers:
+            return None
+        bounds.append(min(powers))
+    return [point for point in itertools.product(*(range(b) for b in bounds))
+            if not any(all(x <= y for x, y in zip(m, point)) for m in leads)]
+
+
+@st.composite
+def lead_sets(draw):
+    """(nvars, leads): mixed monomials plus a pure power x_i^b for each
+    variable whose drawn b is nonzero (b = 0 leaves x_i without one)."""
+    nvars = draw(st.integers(0, 4))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=6))
+    for i, b in enumerate(draw(st.lists(st.integers(0, 6),
+                                        min_size=nvars, max_size=nvars))):
+        if b:
+            leads.append(tuple(b if j == i else 0 for j in range(nvars)))
+    return nvars, leads
+
+
+class TestStaircaseAgainstBoxScan:
+    @settings(max_examples=400, deadline=None)
+    @given(lead_sets())
+    @example((0, []))                       # zero ideal, no variables
+    @example((0, [()]))                     # unit ideal, no variables
+    @example((2, [(0, 0), (3, 0)]))         # unit ideal
+    @example((3, []))                       # zero ideal: infinite
+    @example((3, [(2, 0, 0), (0, 0, 2)]))   # y has no pure power
+    @example((3, [(6, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 0), (2, 0, 1)]))
+    @example((3, [(2, 0, 0), (0, 5, 0), (0, 0, 1), (1, 3, 0)]))
+    @example((4, [(3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 2, 0), (0, 0, 0, 4),
+                  (1, 2, 0, 1), (2, 1, 1, 0), (0, 3, 1, 2)]))
+    def test_colength_and_standard_monomials(self, case):
+        nvars, leads = case
+        ring = PolyRing(2, [f"x{i}" for i in range(nvars)])
+        gb = [Polynomial(ring, {m: 1}) for m in leads]
+        expected = box_scan(leads, nvars)
+        if expected is None:
+            assert colength(gb, nvars) == INFINITE
+            with pytest.raises(AlgebraError):
+                standard_monomials(gb, nvars)
+        else:
+            assert colength(gb, nvars) == len(expected)
+            assert standard_monomials(gb, nvars) == expected
 
 
 class TestEliminate:

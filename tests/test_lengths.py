@@ -29,6 +29,18 @@ class TestHkTable:
         assert [r.q for r in table.rows] == [1, 2, 4]
         assert table.leading_coefficient_estimate == Fraction(36, 16)
 
+    @pytest.mark.parametrize("p, e, expected", [
+        (2, 4, {2: 8, 4: 36, 8: 144, 16: 576}),
+        (5, 2, {5: 55, 25: 1405}),
+    ])
+    def test_fermat_cubic_monsky_values(self, p, e, expected):
+        # e_HK(m) = 9/4 for a smooth plane cubic (Monsky, Math. Ann. 263,
+        # 1983): l(R/m^[q]) = 9q^2/4 for p = 2, q >= 4, and (9q^2 - 5)/4
+        # for p = 5
+        ring = RingContext(p, ["x", "y", "z"], "x^3+y^3+z^3")
+        table = hk_table(ring.maximal_ideal(), e)
+        assert {r.q: r.colength_bracket for r in table.rows[1:]} == expected
+
     def test_regular_ring_leading_term_is_exact(self, poly2):
         # l(F_2[x,y]/(x,y)^[q]) = q^2 exactly
         table = hk_table(poly2.maximal_ideal(), 3)

@@ -67,6 +67,16 @@ class TestRunScript:
         with pytest.raises(ScriptError):
             run_script_text(text)
 
+    def test_non_integer_argument_is_script_error(self):
+        text = "ring R = char 2 vars x, y;\nideal A = x, y;\nB = iq(A,foo);"
+        with pytest.raises(ScriptError, match="expected an integer"):
+            run_script_text(text)
+
+    def test_extra_tilde_argument_is_script_error(self):
+        text = "ring R = char 2 vars x, y;\nideal A = x, y;\nB = tilde(A,1,1,4);"
+        with pytest.raises(ScriptError, match=r"wrong arity for tilde\(\)"):
+            run_script_text(text)
+
     def test_operations_cover_grammar(self):
         text = """
         ring R = char 2 vars x, y, z mod x^3 + y^3 + z^3;

@@ -56,6 +56,10 @@ class TestTestIdeal:
         result = compute_test_ideal(fermat2)
         assert result.tau == fermat2.maximal_ideal()
 
+    def test_fermat_cubic_tau_is_m_char_5(self):
+        ring = RingContext(5, ["x", "y", "z"], "x^3+y^3+z^3")
+        assert compute_test_ideal(ring).tau == ring.maximal_ideal()
+
     def test_chain_is_ascending_and_stable(self, fermat2):
         result = compute_test_ideal(fermat2)
         chain = result.chain
