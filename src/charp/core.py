@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
+from operator import add, le
 
 MAX_PRIME = 65521
 MAX_EXPONENT = 2**31 - 1
@@ -90,15 +91,15 @@ class PrimeField:
 # Monomials: plain exponent tuples.
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(e > MAX_EXPONENT for e in out):
+    out = tuple(map(add, a, b))
+    if out and max(out) > MAX_EXPONENT:
         raise ExponentOverflow(f"exponent overflow in monomial product {a} * {b}")
     return out
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b: tuple, a: tuple) -> tuple:
@@ -110,7 +111,7 @@ def mono_div(b: tuple, a: tuple) -> tuple:
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: tuple) -> int:
@@ -160,6 +161,20 @@ class MonomialOrder:
         head = exps[: self.nelim]
         tail = exps[self.nelim:]
         return (head, sum(tail), tuple(-e for e in reversed(tail)))
+
+    def descending_key(self, exps: tuple):
+        """A sort key whose ascending order is this order's descending order.
+
+        Smallest key means largest monomial, so a ``heapq`` of these keys
+        pops monomials from the largest down.
+        """
+        if self.kind == "grevlex":
+            return (-sum(exps), exps[::-1])
+        if self.kind == "lex":
+            return tuple(-e for e in exps)
+        head = exps[: self.nelim]
+        tail = exps[self.nelim:]
+        return (tuple(-e for e in head), -sum(tail), tail[::-1])
 
     def __eq__(self, other):
         return (
@@ -272,14 +287,17 @@ class Polynomial:
     ``terms`` maps exponent tuples to nonzero coefficients in [0, p).
     The canonical (grevlex-descending) term tuple backs hashing, equality
     and printing, so equal polynomials have identical representations.
+    The leading monomial is cached for the last order it was asked under.
     """
 
-    __slots__ = ("ring", "terms", "_canon")
+    __slots__ = ("ring", "terms", "_canon", "_lead_order", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._canon = None
+        self._lead_order = None
+        self._lead = None
 
     # -- canonical form -------------------------------------------------------
 
@@ -307,9 +325,12 @@ class Polynomial:
         return len(degs) <= 1
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> tuple:
-        if not self.terms:
-            raise AlgebraError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        if self._lead_order is not order:
+            if not self.terms:
+                raise AlgebraError("zero polynomial has no leading term")
+            self._lead = max(self.terms, key=order.key)
+            self._lead_order = order
+        return self._lead
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:
         return self.terms[self.leading_monomial(order)]

@@ -4,6 +4,10 @@ Reduced bases are canonical for a fixed order, which makes them the ideal
 equality oracle used throughout the package.  Pure functions over immutable
 inputs; desk-scale inputs only (no F4/F5, no Hilbert-driven variants).
 
+Division pops terms from a heap of ``MonomialOrder.descending_key`` keys, so
+each term's order key is computed once, when the term first appears, instead
+of rescanning the remaining terms for their maximum at every step.
+
 Colengths are counted column by column: along the variable with the largest
 pure-power bound, the standard monomials over each point of the remaining
 box form one column, whose height the leads give directly, so the count
@@ -14,10 +18,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import add, le, sub
 
 from .core import (
     GREVLEX,
+    MAX_EXPONENT,
     AlgebraError,
+    ExponentOverflow,
     MonomialOrder,
     PolyRing,
     Polynomial,
@@ -35,38 +42,75 @@ class UnitIdeal(AlgebraError):
 INFINITE = float("inf")
 
 
+def _reducer(g: Polynomial, lm: tuple):
+    """(inverse lead coefficient, tail terms, per-variable slack) of g.
+
+    A multiple g * x^shift stays inside the exponent envelope iff shift is
+    at most the slack, MAX_EXPONENT minus g's largest exponent, in every
+    variable.
+    """
+    terms = g.terms
+    tail = [(gm, gc) for gm, gc in terms.items() if gm != lm]
+    slack = tuple(MAX_EXPONENT - max(col) for col in zip(*terms))
+    return g.ring.field.inv(terms[lm]), tail, slack
+
+
+def _subtract_multiple(work: dict, heap: list, dkey, tail, slack, shift: tuple,
+                       factor: int, p: int):
+    """work -= factor * x^shift * tail; monomials new to work enter the heap."""
+    if not all(map(le, shift, slack)):
+        raise ExponentOverflow(f"exponent overflow in a multiple by {shift}")
+    for gm, gc in tail:
+        t = tuple(map(add, gm, shift))
+        s = work.get(t)
+        if s is None:
+            work[t] = (-factor * gc) % p
+            heapq.heappush(heap, (dkey(t), t))
+        else:
+            s = (s - factor * gc) % p
+            if s:
+                work[t] = s
+            else:
+                del work[t]
+
+
+def _term_heap(work: dict, order: MonomialOrder):
+    dkey = order.descending_key
+    heap = [(dkey(m), m) for m in work]
+    heapq.heapify(heap)
+    return heap, dkey
+
+
 def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of f under multivariate division by ``basis``.
 
     normal_form(f, G) == 0 iff f lies in the ideal of G, provided G is a
-    Groebner basis for ``order``.
+    Groebner basis for ``order``.  Each step reduces the largest remaining
+    term by the first basis element whose lead divides it.
     """
     basis = [g for g in basis if not g.is_zero()]
     if not basis or f.is_zero():
         return f
     ring = f.ring
     p = ring.field.p
-    inv = ring.field.inv
-    leads = [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in basis]
+    leads = [g.leading_monomial(order) for g in basis]
+    reducers = [None] * len(basis)  # prepared on first use
     work = dict(f.terms)
+    heap, dkey = _term_heap(work, order)
     remainder: dict = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lc, g in leads:
-            if mono_divides(lm, m):
-                factor = (c * inv(lc)) % p
-                shift = mono_div(m, lm)
-                for gm, gc in g.terms.items():
-                    t = mono_mul(gm, shift)
-                    if t == m:
-                        continue  # lead term cancels against c exactly
-                    s = (work.get(t, 0) - factor * gc) % p
-                    if s:
-                        work[t] = s
-                    else:
-                        work.pop(t, None)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        for i, lm in enumerate(leads):
+            if all(map(le, lm, m)):
+                r = reducers[i]
+                if r is None:
+                    r = reducers[i] = _reducer(basis[i], lm)
+                lc_inv, tail, slack = r
+                _subtract_multiple(work, heap, dkey, tail, slack, tuple(map(sub, m, lm)),
+                                   c * lc_inv % p, p)
                 break
         else:
             remainder[m] = c
@@ -318,24 +362,19 @@ def divide_exact(f: Polynomial, g: Polynomial):
     ring = f.ring
     p = ring.field.p
     lg = g.leading_monomial(order)
-    cg_inv = ring.field.inv(g.leading_coefficient(order))
+    cg_inv, tail, slack = _reducer(g, lg)
     work = dict(f.terms)
+    heap, dkey = _term_heap(work, order)
     quotient: dict = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        if not mono_divides(lg, m):
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        if not all(map(le, lg, m)):
             return None
-        shift = mono_div(m, lg)
-        factor = (c * cg_inv) % p
+        shift = tuple(map(sub, m, lg))
+        factor = c * cg_inv % p
         quotient[shift] = factor
-        for gm, gc in g.terms.items():
-            t = mono_mul(gm, shift)
-            if t == m:
-                continue
-            s = (work.get(t, 0) - factor * gc) % p
-            if s:
-                work[t] = s
-            else:
-                work.pop(t, None)
+        _subtract_multiple(work, heap, dkey, tail, slack, shift, factor, p)
     return Polynomial(ring, quotient)

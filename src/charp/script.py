@@ -12,7 +12,7 @@ Grammar (UTF-8, ';'-terminated statements, '#' comments):
     print gb(A) | len(A) | height(A);
 
 Assertion failures are recorded and execution continues; parse and ring
-errors abort with exit code 2.
+errors, unknown names and wrong argument counts abort with exit code 2.
 """
 
 from __future__ import annotations
@@ -50,6 +50,27 @@ def _split_args(argtext: str):
     # top-level comma split (polynomial arguments contain no parentheses)
     parts = [a.strip() for a in argtext.split(",")]
     return [a for a in parts if a]
+
+
+# (min, max) argument count of every function, assertion and print target
+_ARITY = {
+    "function": {
+        "colon": (2, 2), "sum": (2, 2), "prod": (2, 2), "intersect": (2, 2),
+        "bracket": (2, 2), "corner": (2, 2), "link": (1, 2), "star_colon": (1, 1),
+        "iq": (2, 2), "tau": (0, 0), "tilde": (1, 3),
+    },
+    "assertion": {"equal": (2, 2), "member": (2, 2), "subset": (2, 2), "unmixed": (1, 1)},
+    "print target": {"gb": (1, 1), "len": (1, 1), "height": (1, 1)},
+}
+
+
+def _check_arity(kind: str, fn: str, args):
+    """Reject an unknown name or a wrong argument count before dispatch."""
+    if fn not in _ARITY[kind]:
+        raise ScriptError(f"unknown {kind} {fn!r}")
+    low, high = _ARITY[kind][fn]
+    if not low <= len(args) <= high:
+        raise ScriptError(f"wrong arity for {fn}()")
 
 
 def _integer(text: str) -> int:
@@ -138,56 +159,47 @@ class ScriptRunner:
 
     def _eval(self, fn: str, args) -> Ideal:
         ring = self._need_ring()
-        try:
-            if fn == "colon":
-                return self._ideal(args[0]).colon(self._ideal(args[1]))
-            if fn == "sum":
-                return self._ideal(args[0]) + self._ideal(args[1])
-            if fn == "prod":
-                return self._ideal(args[0]) * self._ideal(args[1])
-            if fn == "intersect":
-                return self._ideal(args[0]).intersect(self._ideal(args[1]))
-            if fn == "bracket":
-                return bracket_power(self._ideal(args[0]), self._exponent(args[1]))
-            if fn == "corner":
-                return corner_power(self._ideal(args[0]), self._exponent(args[1]),
-                                    samples=2, rng=self.rng).value
-            if fn == "link":
-                a = self._ideal(args[1]) if len(args) > 1 else None
-                J, _ = direct_link(self._ideal(args[0]), a, self.rng)
-                return J
-            if fn == "star_colon":
-                return star_colon(self._ideal(args[0]))
-            if fn == "iq":
-                return iq_approx(self._ideal(args[0]), _integer(args[1]))
-            if fn == "tau":
-                return test_ideal(ring).tau
-            if fn == "tilde":
-                if len(args) > 3:
-                    raise ScriptError("wrong arity for tilde()")
-                depth = _integer(args[1]) if len(args) > 1 else 2
-                samples = _integer(args[2]) if len(args) > 2 else 3
-                total, _ = tilde_approx(self._ideal(args[0]), depth, samples, self.rng)
-                return total
-        except IndexError:
-            raise ScriptError(f"wrong arity for {fn}()")
-        raise ScriptError(f"unknown function {fn!r}")
+        _check_arity("function", fn, args)
+        if fn == "colon":
+            return self._ideal(args[0]).colon(self._ideal(args[1]))
+        if fn == "sum":
+            return self._ideal(args[0]) + self._ideal(args[1])
+        if fn == "prod":
+            return self._ideal(args[0]) * self._ideal(args[1])
+        if fn == "intersect":
+            return self._ideal(args[0]).intersect(self._ideal(args[1]))
+        if fn == "bracket":
+            return bracket_power(self._ideal(args[0]), self._exponent(args[1]))
+        if fn == "corner":
+            return corner_power(self._ideal(args[0]), self._exponent(args[1]),
+                                samples=2, rng=self.rng).value
+        if fn == "link":
+            a = self._ideal(args[1]) if len(args) > 1 else None
+            J, _ = direct_link(self._ideal(args[0]), a, self.rng)
+            return J
+        if fn == "star_colon":
+            return star_colon(self._ideal(args[0]))
+        if fn == "iq":
+            return iq_approx(self._ideal(args[0]), _integer(args[1]))
+        if fn == "tau":
+            return test_ideal(ring).tau
+        # tilde
+        depth = _integer(args[1]) if len(args) > 1 else 2
+        samples = _integer(args[2]) if len(args) > 2 else 3
+        total, _ = tilde_approx(self._ideal(args[0]), depth, samples, self.rng)
+        return total
 
     def _run_assert(self, fn: str, negated: bool, args, statement: str):
         ring = self._need_ring()
-        try:
-            if fn == "equal":
-                ok = self._ideal(args[0]) == self._ideal(args[1])
-            elif fn == "member":
-                ok = self._ideal(args[1]).contains(ring.parse(args[0]))
-            elif fn == "subset":
-                ok = self._ideal(args[1]).contains_ideal(self._ideal(args[0]))
-            elif fn == "unmixed":
-                ok = is_unmixed(self._ideal(args[0]), self.rng)
-            else:
-                raise ScriptError(f"unknown assertion {fn!r}")
-        except IndexError:
-            raise ScriptError(f"wrong arity for assert {fn}()")
+        _check_arity("assertion", fn, args)
+        if fn == "equal":
+            ok = self._ideal(args[0]) == self._ideal(args[1])
+        elif fn == "member":
+            ok = self._ideal(args[1]).contains(ring.parse(args[0]))
+        elif fn == "subset":
+            ok = self._ideal(args[1]).contains_ideal(self._ideal(args[0]))
+        else:  # unmixed
+            ok = is_unmixed(self._ideal(args[0]), self.rng)
         if negated:
             ok = not ok
         self.checks.append({
@@ -197,19 +209,15 @@ class ScriptRunner:
         })
 
     def _run_print(self, fn: str, args):
-        try:
-            I = self._ideal(args[0])
-        except IndexError:
-            raise ScriptError(f"wrong arity for print {fn}()")
+        _check_arity("print target", fn, args)
+        I = self._ideal(args[0])
         if fn == "gb":
             text = "gb(%s) = [%s]" % (args[0], ", ".join(I.gb_strings()))
         elif fn == "len":
             value = I.colength()
             text = "len(%s) = %s" % (args[0], "infinite" if value == float("inf") else int(value))
-        elif fn == "height":
+        else:  # height
             text = "height(%s) = %d" % (args[0], I.height())
-        else:
-            raise ScriptError(f"unknown print target {fn!r}")
         self.output.append(text)
         print(text)
 

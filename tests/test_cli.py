@@ -77,6 +77,20 @@ class TestRunCommand:
         f.write_text(script)
         assert run_charp(["run", str(f)]).returncode == code
 
+    @pytest.mark.parametrize("statement, name", [
+        ("C = colon(A,B,A);", "colon"),
+        ("D = iq(A,1,7);", "iq"),
+        ("assert member(x);", "member"),
+        ("print gb(A,B);", "gb"),
+    ], ids=["colon", "iq", "member", "print-gb"])
+    def test_exit_two_on_wrong_arity(self, tmp_path, statement, name):
+        f = tmp_path / "arity.alg"
+        f.write_text("ring R = char 2 vars x, y;\nideal A = x, y;\nideal B = x;\n" + statement)
+        result = run_charp(["run", str(f)])
+        assert result.returncode == 2
+        assert result.stderr == f"error: wrong arity for {name}()\n"
+        assert result.stdout == ""
+
     def test_json_report_written(self, tmp_path):
         f = tmp_path / "ok.alg"
         f.write_text(PASS_SCRIPT)

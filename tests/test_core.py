@@ -96,6 +96,22 @@ class TestMonomialOrder:
         assert order.key((1, 0, 0)) > order.key((0, 5, 5))
 
 
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+                    max_size=12))
+    def test_descending_key_reverses_key(self, monos):
+        for order in (MonomialOrder.lex(), GREVLEX, MonomialOrder.block(1),
+                      MonomialOrder.block(2)):
+            assert (sorted(monos, key=order.descending_key)
+                    == sorted(monos, key=order.key)[::-1])
+
+    def test_lead_cache_follows_order(self):
+        # leads y^4, x*y^2, x*z^3, y^4: each order picks a different term
+        f = R2.parse("x*z^3+x*y^2+y^4+z^2+y")
+        for order in (GREVLEX, MonomialOrder.lex(), MonomialOrder.block(1), GREVLEX):
+            assert f.leading_monomial(order) == max(f.terms, key=order.key)
+            assert f.leading_coefficient(order) == f.terms[max(f.terms, key=order.key)]
+
+
 class TestPolynomialArithmetic:
     @settings(max_examples=60, deadline=None)
     @given(poly_strategy(R5), poly_strategy(R5), poly_strategy(R5))

@@ -4,7 +4,18 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from charp.core import GREVLEX, AlgebraError, MonomialOrder, PolyRing, Polynomial
+from charp.core import (
+    GREVLEX,
+    MAX_EXPONENT,
+    AlgebraError,
+    ExponentOverflow,
+    MonomialOrder,
+    PolyRing,
+    Polynomial,
+    mono_div,
+    mono_divides,
+    mono_mul,
+)
 from charp.groebner import (
     INFINITE,
     buchberger,
@@ -100,6 +111,87 @@ class TestNormalForm:
         gb = buchberger([R.parse("x^2+y")], ring=R)
         r = normal_form(R.parse("x^3"), gb)
         assert normal_form(r, gb) == r
+
+
+    def test_overflow_checked_per_reduction_step(self):
+        R = PolyRing(5, ["x", "y"])
+        lex = MonomialOrder.lex()
+        basis = [R.var("x") + R.monomial((0, MAX_EXPONENT))]
+        with pytest.raises(ExponentOverflow):
+            normal_form(R.parse("x*y"), basis, lex)
+        assert normal_form(R.var("x"), basis, lex) == -R.monomial((0, MAX_EXPONENT))
+
+
+def reference_normal_form(f, basis, order):
+    """Division by rescanning: reduce max(work) by the first divisible lead."""
+    basis = [g for g in basis if not g.is_zero()]
+    if not basis or f.is_zero():
+        return f
+    p = f.ring.field.p
+    leads = [(max(g.terms, key=order.key), g) for g in basis]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for lm, g in leads:
+            if mono_divides(lm, m):
+                factor = c * pow(g.terms[lm], p - 2, p) % p
+                shift = mono_div(m, lm)
+                for gm, gc in g.terms.items():
+                    t = mono_mul(gm, shift)
+                    if t == m:
+                        continue
+                    s = (work.get(t, 0) - factor * gc) % p
+                    if s:
+                        work[t] = s
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.ring, remainder)
+
+
+@st.composite
+def division_cases(draw):
+    """A ring, an order, a polynomial and a basis that need not be a GB."""
+    nvars = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
+    order = draw(st.sampled_from(["grevlex", "lex", "block"]))
+    if order == "block":
+        order = MonomialOrder.block(draw(st.integers(1, nvars)))
+    else:
+        order = MonomialOrder(order)
+    mono = st.tuples(*[st.integers(0, 3) for _ in range(nvars)])
+    poly = st.lists(st.tuples(mono, st.integers(1, p - 1)), max_size=5).map(ring.from_terms)
+    return order, draw(poly), draw(st.lists(poly, min_size=1, max_size=4))
+
+
+class TestHeapDivisionAgainstRescan:
+    @settings(max_examples=300, deadline=None)
+    @given(division_cases())
+    def test_normal_form_term_for_term(self, case):
+        order, f, basis = case
+        got = normal_form(f, basis, order)
+        assert list(got.terms.items()) == list(reference_normal_form(f, basis, order).terms.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(division_cases(), st.booleans())
+    def test_divide_exact(self, case, multiple):
+        _, f, basis = case
+        g = basis[0]
+        if g.is_zero():
+            assert divide_exact(f, g) is None
+            return
+        if multiple:
+            f = f * g
+        q = divide_exact(f, g)
+        if reference_normal_form(f, [g], GREVLEX).is_zero():
+            assert q is not None and q * g == f
+        else:
+            assert q is None
 
 
 class TestColength:

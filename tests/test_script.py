@@ -77,6 +77,17 @@ class TestRunScript:
         with pytest.raises(ScriptError, match=r"wrong arity for tilde\(\)"):
             run_script_text(text)
 
+    @pytest.mark.parametrize("statement, name", [
+        ("C = colon(A,B,A);", "colon"),
+        ("D = iq(A,1,7);", "iq"),
+        ("assert member(x);", "member"),
+        ("print gb(A,B);", "gb"),
+    ], ids=["colon", "iq", "member", "print-gb"])
+    def test_wrong_arity_is_script_error(self, statement, name):
+        text = "ring R = char 2 vars x, y;\nideal A = x, y;\nideal B = x;\n" + statement
+        with pytest.raises(ScriptError, match=rf"^wrong arity for {name}\(\)$"):
+            run_script_text(text)
+
     def test_operations_cover_grammar(self):
         text = """
         ring R = char 2 vars x, y, z mod x^3 + y^3 + z^3;
