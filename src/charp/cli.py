@@ -4,7 +4,8 @@
 script, with the same arguments and exit codes.
 
 Exit codes: 0 all checks pass, 1 at least one assertion/check failed,
-2 input error (bad script, bad ring, unknown suite).
+2 input error (bad script, bad ring, unknown suite, a script that cannot
+be read or is not UTF-8, a --json path that cannot be written).
 """
 
 from __future__ import annotations
@@ -23,26 +24,37 @@ from .suites import (
 )
 
 
-def _write_json(report: dict, path: str | None):
+def _input_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _write_json(report: dict, path: str | None) -> bool:
+    """Write the report to ``path`` if one is given; False if that fails."""
     if path:
         text = report_to_json(report)
         if path == "-":
             sys.stdout.write(text)
-        else:
+            return True
+        try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        except OSError as exc:
+            _input_error(f"cannot write the report: {exc}")
+            return False
+    return True
 
 
 def _cmd_run(args) -> int:
     try:
         report = run_script(args.file, seed=args.seed)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        return _input_error(f"{args.file} is not valid UTF-8 "
+                            f"({exc.reason} at byte {exc.start})")
+    except (OSError, ScriptError, AlgebraError) as exc:
+        return _input_error(exc)
+    if not _write_json(report, args.json):
         return 2
-    except (ScriptError, AlgebraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_json(report, args.json)
     failures = [c for c in report["checks"] if c["status"] == "fail"]
     for c in failures:
         print(f"FAIL: {c['name']}", file=sys.stderr)
@@ -65,9 +77,9 @@ def _cmd_verify(args) -> int:
     try:
         report = verify_suite(args.suite, params)
     except (UnknownSuite, AlgebraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return _input_error(exc)
+    if not _write_json(report, args.json):
         return 2
-    _write_json(report, args.json)
     for c in report["checks"]:
         print(f"[{c['status']:4s}] {c['name']}")
     return report_exit_code(report)

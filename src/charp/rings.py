@@ -24,6 +24,7 @@ from .groebner import (
     UnitIdeal,
     buchberger,
     colength as _gb_colength,
+    colon_by_linear_algebra,
     divide_exact,
     eliminate,
     krull_dimension,
@@ -309,9 +310,23 @@ class Ideal:
         return Ideal(self.ring, gens)
 
     def colon(self, other: "Ideal") -> "Ideal":
-        """A : B = {u : uB in A}, computed on lifts."""
+        """A : B = {u : uB in A}, computed on lifts.
+
+        When B is generated by homogeneous elements and the lifted reduced
+        GB of A is homogeneous of finite colength, the colon is a nullspace
+        over A's standard monomials (``colon_by_linear_algebra``); every
+        other colon, positive-dimensional A included, is computed by
+        elimination.  Both give the same reduced GB.
+        """
         self._same_ring(other)
-        gens = _colon_gens(self.lift_gens(), list(other.gens), self.ring.poly)
+        ring = self.ring.poly
+        divisors = list(other.gens)
+        if (divisors and all(b.is_homogeneous() for b in divisors)
+                and all(g.is_homogeneous() for g in self.gb)
+                and _gb_colength(self.gb, ring.nvars) is not INFINITE):
+            gens = colon_by_linear_algebra(self.gb, divisors, ring)
+        else:
+            gens = _colon_gens(self.lift_gens(), divisors, ring)
         return Ideal(self.ring, gens)
 
     def colon_element(self, f: Polynomial) -> "Ideal":

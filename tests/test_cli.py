@@ -91,6 +91,21 @@ class TestRunCommand:
         assert result.stderr == f"error: wrong arity for {name}()\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("case", ["directory", "not-utf8", "json-unwritable"])
+    def test_io_error_is_one_line_exit_two(self, tmp_path, case):
+        f = tmp_path / "ok.alg"
+        f.write_text(PASS_SCRIPT)
+        args = {"directory": ["run", str(tmp_path)],
+                "not-utf8": ["run", str(f)],
+                "json-unwritable": ["run", str(f), "--json",
+                                    str(tmp_path / "missing" / "r.json")]}[case]
+        if case == "not-utf8":
+            f.write_bytes(PASS_SCRIPT.encode() + b"# \xff\n")
+        result = run_charp(args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert result.stdout == ""
+
     def test_json_report_written(self, tmp_path):
         f = tmp_path / "ok.alg"
         f.write_text(PASS_SCRIPT)
@@ -132,6 +147,13 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith("must be non-negative, got -1\n")
         assert err.count("\n") == 1
+
+    def test_unwritable_json_is_one_line_exit_two(self, tmp_path):
+        result = run_charp(["verify", "paper-example", "--json",
+                            str(tmp_path / "missing" / "r.json")])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot write the report: ")
+        assert result.stderr.count("\n") == 1
 
     def test_entry_point_installed(self):
         result = run_alg(["verify", "paper-example"])

@@ -1,8 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from charp.core import AlgebraError, Polynomial
+from charp import rings
+from charp.core import AlgebraError, PolyRing, Polynomial
+from charp.groebner import INFINITE, buchberger, colength, colon_by_linear_algebra
 from charp.rings import (
     Ideal,
     ParameterSearchFailed,
@@ -222,3 +226,134 @@ class TestNoteIdentity:
         b = find_parameter_ideal(I, rng)
         a = find_parameter_ideal(b, rng)
         assert a.colon(b.colon(I)) == a + I * a.colon(b)
+
+
+# ---------------------------------------------------------------------------
+# Colons of zero-dimensional homogeneous ideals: linear algebra against the
+# elimination construction ``_colon_gens``.
+
+VARS = ("x", "y", "z", "w")
+
+
+@st.composite
+def zero_dim_colons(draw):
+    """(ring, A, B): A generates a homogeneous ideal of finite colength,
+    with or without the pure powers x_i^b among its generators, and B is
+    1-3 homogeneous forms of degree 0-3 (a form may come out zero)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(p, VARS[:nvars])
+
+    def form(lo, hi):
+        degree = draw(st.integers(lo, hi))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(m) == degree]
+        coefficients = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                                     max_size=len(monos)))
+        return Polynomial(ring, {m: c for m, c in zip(monos, coefficients) if c})
+
+    gens = []
+    if draw(st.booleans()):
+        gens += [ring.var(i) ** draw(st.integers(2, 5)) for i in range(nvars)]
+        gens += [form(1, 3) for _ in range(draw(st.integers(0, 3)))]
+    else:
+        gens += [form(1, 3) for _ in range(nvars + draw(st.integers(0, 1)))]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens and colength(buchberger(gens, ring=ring), nvars) is not INFINITE)
+    divisors = [form(0, 3) for _ in range(draw(st.integers(1, 3)))]
+    return ring, gens, divisors
+
+
+def _both_colons(ring, gens, divisors):
+    fast = colon_by_linear_algebra(buchberger(gens, ring=ring), divisors, ring)
+    slow = rings._colon_gens(gens, divisors, ring)
+    return fast, slow
+
+
+class TestColonByLinearAlgebra:
+    @settings(max_examples=200, deadline=None)
+    @given(zero_dim_colons())
+    def test_same_reduced_gb_as_elimination(self, case):
+        fast, slow = _both_colons(*case)
+        assert fast == slow
+
+    def test_unit_dividend(self):
+        R = PolyRing(3, ["x", "y"])
+        fast, slow = _both_colons(R, [R.one()], [R.parse("x*y")])
+        assert fast == slow == [R.one()]
+
+    def test_divisor_inside_dividend_gives_unit(self):
+        R = PolyRing(5, ["x", "y", "z"])
+        A = [R.parse("x^2"), R.parse("y^2"), R.parse("z^2+x*y")]
+        fast, slow = _both_colons(R, A, [R.parse("x^2+2y^2")])
+        assert fast == slow == [R.one()]
+
+    def test_constant_divisor(self):
+        R = PolyRing(7, ["x", "y", "z"])
+        A = [R.parse("x^2+y*z"), R.parse("y^3"), R.parse("z^2")]
+        fast, slow = _both_colons(R, A, [R.const(3)])
+        assert fast == slow == buchberger(A, ring=R)
+
+    def test_divisor_above_top_standard_degree(self):
+        # the top standard degree of (x^2, y^3) is 3: x*y^2
+        R = PolyRing(2, ["x", "y"])
+        A = [R.parse("x^2"), R.parse("y^3")]
+        fast, slow = _both_colons(R, A, [R.parse("x^3+x*y^3"), R.parse("y^4")])
+        assert fast == slow == [R.one()]
+        fast, slow = _both_colons(R, A, [R.parse("x*y^3"), R.parse("y")])
+        assert fast == slow == buchberger([R.parse("x^2"), R.parse("y^2")], ring=R)
+
+    def test_zero_generator_in_divisors(self):
+        R = PolyRing(3, ["x", "y"])
+        A = [R.parse("x^2"), R.parse("y^2")]
+        fast, slow = _both_colons(R, A, [R.zero(), R.parse("x")])
+        assert fast == slow == buchberger([R.parse("x"), R.parse("y^2")], ring=R)
+        fast, slow = _both_colons(R, A, [R.zero()])
+        assert fast == slow == [R.one()]
+
+    def test_ideal_colon_on_fermat2(self, fermat2):
+        a = fermat2.ideal("x^2", "y^2")
+        I = fermat2.ideal("x^2", "y^2", "z^2")
+        colon = a.colon(I)
+        assert colon.gb_strings() == ["z", "y^2", "x^2"]
+        assert list(colon.gens) == rings._colon_gens(a.lift_gens(), list(I.gens),
+                                                     fermat2.poly)
+        assert fermat2.maximal_ideal().colon(I) == fermat2.ideal("1")
+
+
+class TestColonDispatch:
+    """Only homogeneous colons with an m-primary dividend skip elimination."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        taken = []
+
+        def spy(name):
+            original = getattr(rings, name)
+
+            def wrapped(*args):
+                taken.append(name)
+                return original(*args)
+            monkeypatch.setattr(rings, name, wrapped)
+
+        spy("colon_by_linear_algebra")
+        spy("_colon_gens")
+        return taken
+
+    def test_m_primary_homogeneous_takes_linear_algebra(self, paths, poly3):
+        poly3.ideal("x^2", "y^2", "z^3").colon(poly3.ideal("x*y", "z"))
+        assert paths == ["colon_by_linear_algebra"]
+
+    def test_non_homogeneous_dividend_takes_elimination(self, paths, poly3):
+        A = poly3.ideal("x^2+y", "y^2", "z^2")
+        assert A.is_m_primary()
+        A.colon(poly3.ideal("x"))
+        assert paths == ["_colon_gens"]
+
+    def test_positive_dimensional_dividend_takes_elimination(self, paths, fermat2):
+        fermat2.ideal("x^2", "x*y").colon(fermat2.ideal("x"))
+        assert paths == ["_colon_gens"]
+
+    def test_non_homogeneous_divisor_takes_elimination(self, paths, poly3):
+        poly3.ideal("x^2", "y^2", "z^2").colon(poly3.ideal("x+y^2"))
+        assert paths == ["_colon_gens"]
