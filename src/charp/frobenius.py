@@ -37,11 +37,17 @@ def frobenius_q(ring: RingContext, e: int) -> int:
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
-    """I^[q]: the ideal of q-th powers of the generators, q = p^e."""
+    """I^[q]: the ideal of q-th powers of the generators, q = p^e.
+
+    Each power is taken term by term (freshman's dream): over F_p,
+    (sum c*m)^q = sum c*m^q, since cross terms vanish and c^q = c.
+    """
     q = frobenius_q(I.ring, e)
     if q == 1:
         return I
-    return Ideal(I.ring, [g ** q for g in I.gens])
+    return Ideal(I.ring, [
+        Polynomial(g.ring, {mono_pow(m, q): c for m, c in g.terms.items()})
+        for g in I.gens])
 
 
 def _root_of_polynomial(g: Polynomial, q: int) -> list:

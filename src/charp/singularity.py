@@ -2,11 +2,15 @@
 
 The test ideal of R = S/(f) is computed by the standard ascending chain:
 seed with a Jacobian test element c, iterate J <- J + (f^(p-1) J)^[1/p] in S
-until stable, and project.  star_colon(I) = I : tau equals I^* exactly for
-ideals of finite projective dimension and is an upper bound in general.
-The I_q chain of nonincreasing upper approximations and the certified
-non-membership check never claim exact tight closure unless both bounds
-meet.
+until stable, and project.  Each step starts from the reduced Groebner basis
+of J, not from its accumulated generators: the root (f^(p-1) J)^[1/p] does
+not depend on the generating set of J, and raw roots would multiply the
+generator count by about p^n per step.
+
+star_colon(I) = I : tau equals I^* exactly for ideals of finite projective
+dimension and is an upper bound in general.  The I_q chain of
+nonincreasing upper approximations and the certified non-membership check
+never claim exact tight closure unless both bounds meet.
 """
 
 from __future__ import annotations
@@ -99,8 +103,10 @@ def test_ideal(ring: RingContext, override: Ideal | None = None,
 
     Polynomial rings are regular, so tau = (1).  For a reduced hypersurface
     the phi-compatible ascending chain from a Jacobian test element is
-    iterated in S until it stabilizes.  ``override`` installs a manual tau
-    for rings where the Jacobian heuristic fails.
+    iterated in S until it stabilizes; step k roots f^(p-1) times the
+    reduced GB of J_k, and J_(k+1) is generated by that GB and the roots.
+    ``override`` installs a manual tau for rings where the Jacobian
+    heuristic fails.
     """
     if override is not None:
         result = TestIdealResult(override, (override, override), 0)
@@ -122,8 +128,8 @@ def test_ideal(ring: RingContext, override: Ideal | None = None,
     multiplier = f ** (p - 1)
     stable_at = None
     for k in range(max_iters):
-        scaled = Ideal(S, [multiplier * g for g in current.gens])
-        grown = current + frobenius_root(scaled, 1)
+        scaled = Ideal(S, [multiplier * g for g in current.gb])
+        grown = Ideal(S, list(current.gb) + list(frobenius_root(scaled, 1).gens))
         chain.append(Ideal(ring, list(grown.gens)))
         if grown == current:
             stable_at = k

@@ -103,6 +103,9 @@ def _sample_unmixed(ring: RingContext, count: int, rng: random.Random):
 # ---------------------------------------------------------------------------
 
 def _suite_paper_example(ring, params, rng, rep):
+    if ring != make_ring("fermat2"):
+        rep.skip("paper example", f"expected values hold on fermat2 only, not {ring!r}")
+        return
     I = ring.ideal("x^2", "y^2", "z^2")
     a = ring.ideal("x^2", "y^2")
     J = a.colon(I)

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charp.core import ExponentOverflow, Polynomial
+from charp.core import MAX_EXPONENT, ExponentOverflow, Polynomial
 from charp.frobenius import (
     QuotientContextUnsupported,
     bracket_power,
@@ -58,6 +59,36 @@ class TestBracketPower:
             frobenius_q(poly3, 99)
         with pytest.raises(ExponentOverflow):
             frobenius_q(poly3, -1)
+
+
+@st.composite
+def bracket_cases(draw):
+    """An ideal with 0-3 sparse generators (at most 3 terms each, so that
+    g ** q stays cheap at q = 49), in a polynomial ring of 1-3 variables or
+    in a hypersurface quotient, and e <= 2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        ring = RingContext(p, ["x", "y", "z"], "x^2*y+y^2*z+z^2*x")
+    else:
+        ring = RingContext(p, ["x", "y", "z"][:draw(st.integers(1, 3))])
+    mono = st.tuples(*[st.integers(0, 3)] * ring.poly.nvars)
+    poly = st.lists(st.tuples(mono, st.integers(1, p - 1)), max_size=3)
+    gens = [ring.poly.from_terms(t) for t in draw(st.lists(poly, max_size=3))]
+    return Ideal(ring, gens), draw(st.integers(0, 2))
+
+
+class TestBracketPowerByTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(bracket_cases())
+    def test_equals_repeated_multiplication(self, case):
+        I, e = case
+        q = frobenius_q(I.ring, e)
+        assert list(bracket_power(I, e).gens) == [g ** q for g in I.gens]
+
+    def test_exponent_overflow_at_entry_point(self, poly2):
+        x = Polynomial(poly2.poly, {(MAX_EXPONENT // 2 + 1, 0): 1})
+        with pytest.raises(ExponentOverflow):
+            bracket_power(Ideal(poly2, [x]), 1)
 
 
 class TestFrobeniusRoot:

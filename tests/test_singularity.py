@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from charp.core import Polynomial
 from charp.frobenius import bracket_power, frobenius_root
 from charp.rings import Ideal, RingContext, find_parameter_ideal
 from charp.singularity import (
@@ -87,6 +89,126 @@ class TestTestIdeal:
         ring = RingContext(2, ["x", "y", "z"], "x^3+y^3+z^3")
         manual = ring.ideal("x", "y", "z")
         assert compute_test_ideal(ring, override=manual).tau == manual
+
+
+def raw_chain(ring, c, max_iters=30):
+    """Reference chain J <- J + (f^(p-1) J)^[1/p] from J_0 = (c) that roots
+    every generator J has accumulated, not its reduced GB.
+
+    Returns (chain, stable_at, tau) in the shape of ``TestIdealResult``.
+    """
+    S = ring.polynomial_ring()
+    multiplier = ring.relation ** (ring.field.p - 1)
+    current = Ideal(S, [c])
+    chain = [Ideal(ring, list(current.gens))]
+    for k in range(max_iters):
+        scaled = Ideal(S, [multiplier * g for g in current.gens])
+        grown = current + frobenius_root(scaled, 1)
+        chain.append(Ideal(ring, list(grown.gens)))
+        if grown == current:
+            return chain, k, Ideal(ring, current.gb)
+        current = grown
+    raise AssertionError(f"reference chain open after {max_iters} iterations")
+
+
+def monomials_of_degree(ring, d):
+    n = ring.poly.nvars
+    return [Polynomial(ring.poly, {m: 1})
+            for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+
+
+def xyz_ring(p, relation):
+    return RingContext(p, ["x", "y", "z"], relation)
+
+
+CUBIC = "x^3+y^3+z^3"
+QUARTIC = "x^4+y^4+z^4"
+QUINTIC = "x^5+y^5+z^5"
+
+
+class TestTestIdealKnownValues:
+    """tau of cones over smooth plane curves of degree d is m^(d-2) for
+    p >> 0 (Huneke & Smith, J. reine angew. Math. 484 (1997)); the p = 2
+    quintic, the cubic threefold and xy - zw are computed values."""
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
+    def test_fermat_cubic_tau_is_m(self, p):
+        ring = xyz_ring(p, CUBIC)
+        assert compute_test_ideal(ring).tau == ring.maximal_ideal()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_quartic_tau_is_m_squared(self, p):
+        ring = xyz_ring(p, QUARTIC)
+        tau = compute_test_ideal(ring).tau
+        assert tau == Ideal(ring, monomials_of_degree(ring, 2))
+        assert tau.colength() == 4
+
+    def test_quintic_char_3_tau_is_m_cubed(self):
+        ring = xyz_ring(3, QUINTIC)
+        assert compute_test_ideal(ring).tau == Ideal(ring, monomials_of_degree(ring, 3))
+
+    def test_quintic_char_2_tau_misses_xyz(self):
+        ring = xyz_ring(2, QUINTIC)
+        xyz = ring.parse("x*y*z")
+        cubics = [g for g in monomials_of_degree(ring, 3) if g != xyz]
+        tau = compute_test_ideal(ring).tau
+        assert len(cubics) == 9
+        assert tau == Ideal(ring, cubics)
+        assert tau.colength() == 11
+
+    def test_cubic_threefold_char_2_tau_is_m(self):
+        ring = RingContext(2, ["x", "y", "z", "w"], "x^3+y^3+z^3+w^3")
+        assert compute_test_ideal(ring).tau == ring.maximal_ideal()
+
+    def test_quadric_cone_is_f_regular(self):
+        ring = RingContext(3, ["x", "y", "z", "w"], "x*y-z*w")
+        assert compute_test_ideal(ring).tau.is_unit()
+
+
+CHAIN_RINGS = [(2, CUBIC), (5, CUBIC), (3, QUARTIC), (2, QUINTIC)]
+
+
+class TestTestIdealAgainstRawChain:
+    @pytest.mark.parametrize("p, relation", CHAIN_RINGS)
+    def test_same_chain_step_by_step(self, p, relation):
+        ring = xyz_ring(p, relation)
+        chain, stable_at, tau = raw_chain(ring, compute_test_element(ring).c)
+        result = compute_test_ideal(ring)
+        assert result.chain == tuple(chain)
+        assert result.stable_at == stable_at
+        assert result.tau == tau
+
+    @pytest.mark.parametrize("p, relation", CHAIN_RINGS + [(3, QUINTIC)])
+    def test_every_jacobian_start_reaches_tau(self, p, relation):
+        ring = xyz_ring(p, relation)
+        tau = compute_test_ideal(ring).tau
+        f = ring.relation
+        partials = [f.derivative(i) for i in range(3)]
+        starts = [d for d in partials if not d.is_zero()]
+        rng = random.Random(p)
+        linear = monomials_of_degree(ring, 1)
+        # four random sums r_i * df/dx_i with r_i of degree at most 1
+        while len(starts) < len(partials) + 4:
+            c = ring.poly.zero()
+            for d in partials:
+                r = ring.poly.const(rng.randrange(p))
+                for v in linear:
+                    r = r + v.scale(rng.randrange(p))
+                c = c + r * d
+            if not ring.zero_ideal().contains(c):
+                starts.append(c)
+        for c in starts:
+            assert raw_chain(ring, c)[2] == tau, f"start {c}"
+
+    def test_generator_count_follows_the_basis(self):
+        # each step roots |GB(J_k)| polynomials into at most p^3 pieces each
+        p = 23
+        ring = xyz_ring(p, CUBIC)
+        S = ring.polynomial_ring()
+        chain = compute_test_ideal(ring).chain
+        for before, entry in zip(chain, chain[1:]):
+            basis = Ideal(S, list(before.gens)).gb
+            assert len(entry.gens) <= len(basis) * (1 + p ** 3)
 
 
 class TestStarColon:

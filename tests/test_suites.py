@@ -79,3 +79,20 @@ class TestParamPlumbing:
         report = verify_suite("paper-example", {"seed": 0})
         p = report["params"]
         assert (p["emax"], p["depth"], p["samples"], p["tmax"]) == (3, 2, 3, 3)
+
+
+class TestPaperExampleRings:
+    """paper-example's expected values are worked out on fermat2 only."""
+
+    @pytest.mark.parametrize("p, mod", [(2, "x^5+y^5+z^5"), (3, "x^4+y^4+z^4")])
+    def test_other_rings_skip_with_reason(self, p, mod):
+        report = verify_suite("paper-example", {"p": p, "vars": ["x", "y", "z"],
+                                                "mod": mod, "seed": 0})
+        assert [c["status"] for c in report["checks"]] == ["skip"]
+        assert report["checks"][0]["details"]
+        assert report_exit_code(report) == 0
+
+    def test_fermat2_given_explicitly_runs_the_checks(self):
+        report = verify_suite("paper-example", {"p": 2, "vars": ["x", "y", "z"],
+                                                "mod": "x^3+y^3+z^3", "seed": 0})
+        assert [c["status"] for c in report["checks"]] == ["pass"] * 5
