@@ -19,14 +19,20 @@ here; all others are eliminations): S/A is a finite F_p-vector space, so
 the colon is a nullspace over A's standard monomials, degree by degree,
 in the spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16,
 1993) and Marinari, Moeller & Mora (AAECC 4, 1993).  Its reduced basis is
-read off the kernels' row echelon forms and equals ``buchberger``'s.
+read off the kernels' row echelon forms and equals ``buchberger``'s.  Over
+F_2 the per-degree kernels run on rows packed into ints, one bit per
+standard monomial, so adding two rows is one XOR (the M4RI idea of
+Albrecht & Bard), and table keys are ints, so multiplying monomials is one
+integer addition.  Odd p keeps {monomial: coefficient} dicts: a row
+addition there is a multiply and a reduction mod p per entry, which no
+single operation on a packed int performs.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .core import (
     GREVLEX,
@@ -476,6 +482,161 @@ def _rref_rows(vectors, p: int) -> dict:
     return rows
 
 
+def _bits(v: int):
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _rref_packed(vectors) -> dict:
+    """{pivot bit: row} of the reduced row echelon form of packed F_2 rows.
+
+    The F_2 twin of ``_rref_rows``: each row's pivot is its top bit, and no
+    other row has that bit set.
+    """
+    rows: dict = {}
+    for vec in vectors:
+        for pivot, row in rows.items():
+            if vec >> pivot & 1:
+                vec ^= row
+        if not vec:
+            continue
+        lead = vec.bit_length() - 1
+        for pivot, row in rows.items():
+            if row >> lead & 1:
+                rows[pivot] = row ^ vec
+        rows[lead] = vec
+    return rows
+
+
+class _PackedF2:
+    """The three per-degree colon kernels over F_2, on rows packed into ints.
+
+    A vector of degree d is an int whose bit i stands for ``standard[d][i]``,
+    the standard monomials of degree d in ascending grevlex, so the top bit
+    is the largest monomial and adding two rows is one XOR.  Table keys are
+    ints too: m -> sum m_i * B^i with B > top, so x^c * t is one integer
+    addition; no carry occurs, as no exponent in a table exceeds the top
+    standard degree.  Every nonzero coefficient over F_2 is 1, so the term
+    lists reduce to their keys.
+    """
+
+    def __init__(self, reducers, standard: dict, by_degree: dict, top: int, nvars: int):
+        self.weights = [(top + 1) ** i for i in range(nvars)]
+        self.nvars = nvars
+        self.standard = standard
+        self.index = {d: {m: i for i, m in enumerate(ms)} for d, ms in standard.items()}
+        self.ukeys = {d: [self.key(u) for u in ms] for d, ms in standard.items()}
+        self.reducers = [(lm, self.key(lm), [self.key(t) for t, _ in tail])
+                         for lm, tail in reducers]
+        self.divisors = {delta: [[self.key(t) for t, _ in terms] for terms in lists]
+                         for delta, lists in by_degree.items()}
+
+    def key(self, m: tuple) -> int:
+        return sum(map(mul, m, self.weights))
+
+    def table(self, e: int) -> dict:
+        """``_normal_form_table`` on packed rows: {key(m): NF(m)} for deg m = e."""
+        index = self.index[e]
+        key = self.key
+        table = {}
+        for m in _monomials_of_degree(self.nvars, e):
+            k = key(m)
+            i = index.get(m)
+            if i is not None:
+                table[k] = 1 << i
+                continue
+            for lm, lk, tail in self.reducers:
+                if all(map(le, lm, m)):
+                    break
+            shift = k - lk
+            row = 0
+            for t in tail:
+                row ^= table[t + shift]
+            table[k] = row
+        return table
+
+    def narrow(self, kernel, d: int, delta: int, table: dict) -> list:
+        """``_narrow_kernel`` on packed rows.
+
+        A row is image << n | combination, n the number of standard
+        monomials of degree d; the image of u concatenates NF(u * b_j) at
+        bit offset j * width.  Eliminating on the top bit carries the
+        combination along, and rows whose image vanishes span the kernel.
+        """
+        ukeys = self.ukeys[d]
+        n = len(ukeys)
+        width = len(self.ukeys[d + delta])
+        divisors = self.divisors[delta]
+        if kernel is None:
+            kernel = [1 << i for i in range(n)]
+        support = 0
+        for vec in kernel:
+            support |= vec
+        images = {}
+        for i in _bits(support):
+            uk = ukeys[i]
+            image = 0
+            for j, terms in enumerate(divisors):
+                acc = 0
+                for t in terms:
+                    acc ^= table[uk + t]
+                image |= acc << (j * width)
+            images[i] = image << n
+        pivots: dict = {}  # top bit -> row
+        narrowed = []
+        for vec in kernel:
+            row = vec
+            for i in _bits(vec):
+                row ^= images[i]
+            while row >> n:
+                lead = row.bit_length()
+                prow = pivots.get(lead)
+                if prow is None:
+                    pivots[lead] = row
+                    break
+                row ^= prow
+            else:
+                narrowed.append(row)
+        return narrowed
+
+    def unpack(self, d: int, vec: int) -> dict:
+        monomials = self.standard[d]
+        return {monomials[i]: 1 for i in _bits(vec)}
+
+    def rref(self, d: int, kernel) -> dict:
+        """``_rref_rows`` on packed rows, unpacked to {pivot: {monomial: 1}}."""
+        monomials = self.standard[d]
+        return {monomials[pivot]: self.unpack(d, row)
+                for pivot, row in _rref_packed(kernel).items()}
+
+
+def _colon_setup(gb, divisors, nvars: int):
+    """(standard, top, by_degree, reducers) of the colon (gb) : (divisors).
+
+    ``standard`` maps each degree to its standard monomials in ascending
+    grevlex and ``top`` is the top standard degree; ``by_degree`` maps each
+    divisor degree up to ``top`` to the divisors' term lists; ``reducers``
+    holds (lead, tail terms) of each element of ``gb``.
+    """
+    standard: dict = {}
+    for m in sorted(standard_monomials(gb, nvars), key=GREVLEX.descending_key,
+                    reverse=True):
+        standard.setdefault(sum(m), []).append(m)
+    top = max(standard, default=-1)
+    by_degree: dict = {}
+    for b in divisors:
+        if b.degree() <= top:
+            by_degree.setdefault(b.degree(), []).append(list(b.terms.items()))
+    reducers = []
+    for g in gb:
+        lm = g.leading_monomial(GREVLEX)
+        reducers.append((lm, [(m, c) for m, c in g.terms.items() if m != lm]))
+    return standard, top, by_degree, reducers
+
+
 def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
     """Reduced grevlex GB of (gb) : (divisors), the list ``buchberger`` returns.
 
@@ -489,38 +650,40 @@ def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
     leads(A) + the kernels' RREF pivots, so its reduced GB is read off
     directly: a minimal pivot gives its row, and a minimal lead of g in
     ``gb`` gives g with its pivot tail terms reduced by their rows.
+
+    Over F_2 the normal-form table, the narrowing and the RREF run on rows
+    packed into ints (``_PackedF2``), so a row operation is one XOR, in the
+    manner of M4RI (Albrecht & Bard); the packed rows are unpacked before
+    the basis is read off.  Odd p keeps the dict kernels, whose row
+    additions need a multiply and a reduction mod p per entry.
     """
     divisors = [b for b in divisors if not b.is_zero()]
     if not divisors:
         return [ring.one()]
     nvars = ring.nvars
     p = ring.field.p
-    standard: dict = {}  # degree -> standard monomials of that degree
-    for m in standard_monomials(gb, nvars):
-        standard.setdefault(sum(m), []).append(m)
-    top = max(standard, default=-1)
-    by_degree: dict = {}  # divisor degree -> term lists
-    for b in divisors:
-        if b.degree() <= top:
-            by_degree.setdefault(b.degree(), []).append(list(b.terms.items()))
-    reducers = []
-    for g in gb:
-        lm = g.leading_monomial(GREVLEX)
-        reducers.append((lm, [(m, c) for m, c in g.terms.items() if m != lm]))
+    standard, top, by_degree, reducers = _colon_setup(gb, divisors, nvars)
+    packed = _PackedF2(reducers, standard, by_degree, top, nvars) if p == 2 else None
     kernels: dict = {}  # degree -> narrowed kernel basis; absent: never narrowed
     for e in range(top + 1):
         narrow = [(delta, e - delta) for delta in sorted(by_degree)
                   if e - delta in standard and kernels.get(e - delta) != []]
         if not narrow:
             continue
-        table = _normal_form_table(reducers, set(standard[e]), nvars, e, p)
+        if packed:
+            table = packed.table(e)
+        else:
+            table = _normal_form_table(reducers, set(standard[e]), nvars, e, p)
         for delta, d in narrow:
-            kernels[d] = _narrow_kernel(kernels.get(d), standard[d], by_degree[delta],
-                                        table, p)
+            if packed:
+                kernels[d] = packed.narrow(kernels.get(d), d, delta, table)
+            else:
+                kernels[d] = _narrow_kernel(kernels.get(d), standard[d], by_degree[delta],
+                                            table, p)
     rows: dict = {}  # pivot -> RREF row, over all degrees
     for d, monomials in standard.items():
         if d in kernels:
-            rows.update(_rref_rows(kernels[d], p))
+            rows.update(packed.rref(d, kernels[d]) if packed else _rref_rows(kernels[d], p))
         else:
             rows.update((u, {u: 1}) for u in monomials)
 

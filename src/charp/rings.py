@@ -327,7 +327,11 @@ class Ideal:
             gens = colon_by_linear_algebra(self.gb, divisors, ring)
         else:
             gens = _colon_gens(self.lift_gens(), divisors, ring)
-        return Ideal(self.ring, gens)
+        colon = Ideal(self.ring, gens)
+        # both paths return the reduced GB of the lifted colon, which
+        # contains the relation, so it is already the lift's basis
+        colon._gb = gens
+        return colon
 
     def colon_element(self, f: Polynomial) -> "Ideal":
         return self.colon(Ideal(self.ring, [f]))
@@ -399,8 +403,9 @@ def find_parameter_ideal(I: Ideal, rng: random.Random, max_tries: int = 60,
         if not ok:
             continue
         cand = Ideal(I.ring, elems)
-        if len(cand.minimal_generators()) != g:
-            continue
+        # no minimality check: by Krull's height theorem an ideal with fewer
+        # than g generators has height < g, so ht(cand) = g already makes
+        # the g elements a minimal generating set
         try:
             if cand.is_unit() or cand.height() != g:
                 continue

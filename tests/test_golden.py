@@ -1,8 +1,10 @@
-"""The 13 suite reports at seed 0, default parameters, timings dropped, are
-byte-identical to the committed files in tests/golden.
+"""The 13 suite reports with default parameters, timings dropped, are
+byte-identical to the committed files: tests/golden at seed 0 and
+tests/golden/seed1 at seed 1, the suite seed of the ``suites`` benchmark.
 
-Regenerate them with ``python scripts/make_golden.py``; a rerun changes
-what these tests accept, so record it, and why, in CHANGES.md.
+Regenerate them with ``python scripts/make_golden.py`` (seed 0) and
+``python scripts/make_golden.py --seed 1 --out tests/golden/seed1``; a rerun
+changes what these tests accept, so record it, and why, in CHANGES.md.
 """
 
 import importlib.util
@@ -17,8 +19,13 @@ _spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" /
 make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
 
+GOLDEN = {0: ROOT / "tests" / "golden", 1: ROOT / "tests" / "golden" / "seed1"}
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_report_matches_golden(suite):
-    golden = (ROOT / "tests" / "golden" / f"{suite}.json").read_bytes()
-    assert make_golden.golden_text(suite, 0).encode("utf-8") == golden
+
+@pytest.mark.parametrize("seed, suite", [
+    pytest.param(seed, suite, id=suite if seed == 0 else f"seed{seed}-{suite}")
+    for seed in GOLDEN for suite in SUITE_NAMES
+])
+def test_report_matches_golden(seed, suite):
+    golden = (GOLDEN[seed] / f"{suite}.json").read_bytes()
+    assert make_golden.golden_text(suite, seed).encode("utf-8") == golden

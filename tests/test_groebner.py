@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from charp.core import (
     GREVLEX,
@@ -18,6 +18,11 @@ from charp.core import (
 )
 from charp.groebner import (
     INFINITE,
+    _colon_setup,
+    _narrow_kernel,
+    _normal_form_table,
+    _PackedF2,
+    _rref_rows,
     buchberger,
     colength,
     divide_exact,
@@ -303,3 +308,95 @@ class TestDivideExact:
     def test_nondivisible_returns_none(self):
         R = PolyRing(5, ["x", "y"])
         assert divide_exact(R.parse("x^2+y"), R.parse("x")) is None
+
+
+# ---------------------------------------------------------------------------
+# The packed F_2 colon kernels against the dict kernels, degree by degree.
+
+def _f2_bracket_case(names, dividend, divisors, q, relation=None):
+    """(ring, A, B) over F_2: A and B are the q-th bracket powers of the
+    given generators, and A also holds ``relation`` if one is given."""
+    ring = PolyRing(2, names)
+    gens = [ring.parse(g) ** q for g in dividend]
+    if relation is not None:
+        gens.append(ring.parse(relation))
+    return ring, gens, [ring.parse(b) ** q for b in divisors]
+
+
+@st.composite
+def f2_colons(draw):
+    """(ring, A, B) over F_2: A is the q-th bracket power of 1-2 forms per
+    variable (plus pure powers or not), of finite colength at most 1500;
+    B is 1-3 forms of degree 0-3, some raised to the q-th power too."""
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(2, [f"x{i}" for i in range(nvars)])
+    q = draw(st.sampled_from([1, 2, 4, 8]))
+
+    def form(lo, hi):
+        degree = draw(st.integers(lo, hi))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(m) == degree]
+        keep = draw(st.lists(st.booleans(), min_size=len(monos), max_size=len(monos)))
+        return Polynomial(ring, {m: 1 for m, k in zip(monos, keep) if k})
+
+    gens = [form(1, 2) for _ in range(nvars + draw(st.integers(0, 1)))]
+    if draw(st.booleans()):
+        gens += [ring.var(i) ** draw(st.integers(1, 3)) for i in range(nvars)]
+    gens = [g ** q for g in gens if not g.is_zero()]
+    assume(gens and colength(buchberger(gens, ring=ring), nvars) <= 1500)
+    divisors = [form(0, 3) ** draw(st.sampled_from([1, q]))
+                for _ in range(draw(st.integers(1, 3)))]
+    return ring, gens, divisors
+
+
+class TestPackedF2Kernels:
+    """``_PackedF2`` computes what the dict kernels compute, degree by degree:
+    the same normal-form tables, narrowed kernels of the same span and the
+    same RREF rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(f2_colons())
+    # the lift of (x^2, y^2)^[8] : m^[8] on fermat2, top standard degree 32
+    @example(_f2_bracket_case(["x", "y", "z"], ["x^2", "y^2"], ["x", "y", "z"], 8,
+                              relation="x^3+y^3+z^3"))
+    @example(_f2_bracket_case(["x", "y", "z"], ["x", "y", "z^2"],
+                              ["x*y+z^2", "z", "x+y"], 8))          # top 29
+    @example(_f2_bracket_case(["x", "y"], ["x^2+x*y", "y^2"], ["x+y", "y"], 16))  # top 62
+    @example(_f2_bracket_case(["x", "y"], ["x^2", "x*y", "y^2"], ["x", "y"], 1))  # top 1
+    def test_against_dict_kernels(self, case):
+        ring, gens, divisors = case
+        nvars = ring.nvars
+        gb = buchberger(gens, ring=ring)
+        divisors = [b for b in divisors if not b.is_zero()]
+        standard, top, by_degree, reducers = _colon_setup(gb, divisors, nvars)
+        packed = _PackedF2(reducers, standard, by_degree, top, nvars)
+
+        def pack(d, vec):
+            assert set(vec.values()) <= {1}
+            return sum(1 << packed.index[d][m] for m in vec)
+
+        kernels = {}
+        for e in range(top + 1):
+            table = _normal_form_table(reducers, set(standard[e]), nvars, e, 2)
+            ptable = packed.table(e)
+            assert len(ptable) == len(table)
+            assert {m: packed.unpack(e, ptable[packed.key(m)]) for m in table} == table
+            for delta in sorted(by_degree):
+                d = e - delta
+                if d not in standard or kernels.get(d) == []:
+                    continue
+                kernel = kernels.get(d)
+                narrowed = _narrow_kernel(kernel, standard[d], by_degree[delta], table, 2)
+                pkernel = None if kernel is None else [pack(d, v) for v in kernel]
+                pnarrowed = packed.narrow(pkernel, d, delta, ptable)
+                assert len(pnarrowed) == len(narrowed)
+                assert packed.rref(d, pnarrowed) == _rref_rows(narrowed, 2)
+                kernels[d] = narrowed
+        for d, kernel in kernels.items():
+            vectors = [pack(d, v) for v in kernel]
+            assert packed.rref(d, vectors) == _rref_rows(kernel, 2)
+            # the same span from v_i + v_i+1 and v_last, which is no longer
+            # in echelon form, so earlier rows need back substitution
+            mixed = [v ^ w for v, w in zip(vectors, vectors[1:])] + vectors[-1:]
+            assert packed.rref(d, mixed) == \
+                _rref_rows([packed.unpack(d, v) for v in mixed], 2)

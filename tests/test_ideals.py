@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charp import rings
-from charp.core import AlgebraError, PolyRing, Polynomial
+from charp.core import GREVLEX, AlgebraError, PolyRing, Polynomial
 from charp.groebner import INFINITE, buchberger, colength, colon_by_linear_algebra
 from charp.rings import (
     Ideal,
     ParameterSearchFailed,
     RingContext,
+    UnitIdeal,
     extend_to_m_primary,
     find_parameter_ideal,
     is_unmixed,
@@ -208,6 +209,88 @@ class TestParameterIdeals:
         rng = random.Random(29)
         a = find_parameter_ideal(fermat2.maximal_ideal(), rng)
         assert extend_to_m_primary(a, rng) == []
+
+
+def reference_find_parameter_ideal(I, rng, max_tries=60, height=None, min_bump=0):
+    """The parameter search with the minimal-generator check that Krull's
+    height theorem makes redundant, as it was before that check was dropped."""
+    if I.is_unit() or I.is_zero():
+        raise ParameterSearchFailed("need a proper nonzero ideal")
+    g = height if height is not None else I.height()
+    for trial in range(max_tries):
+        bump = min(trial * 3 // max_tries, 2) if max_tries >= 3 else 0
+        bump = max(bump, min_bump)
+        elems = []
+        ok = True
+        for _ in range(g):
+            e = rings._random_element_of(I, bump, rng)
+            if e.is_zero():
+                ok = False
+                break
+            elems.append(e)
+        if not ok:
+            continue
+        cand = Ideal(I.ring, elems)
+        if len(cand.minimal_generators()) != g:
+            continue
+        try:
+            if cand.is_unit() or cand.height() != g:
+                continue
+        except UnitIdeal:
+            continue
+        return cand
+    raise ParameterSearchFailed("exhausted")
+
+
+class TestParameterSearchWithoutMinimalityCheck:
+    @pytest.mark.parametrize("relation", ["x^3+y^3+z^3", None], ids=["fermat2", "F2xyz"])
+    @pytest.mark.parametrize("gens", [("x", "y", "z"), ("x^2", "y^2", "z^2"), ("x",)],
+                             ids=["m", "squares", "x"])
+    def test_same_generators_as_reference(self, relation, gens):
+        ring = RingContext(2, ["x", "y", "z"], relation)
+        I = ring.ideal(*gens)
+        for seed in range(20):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            a = find_parameter_ideal(I, rng)
+            assert a.gens == reference_find_parameter_ideal(I, ref_rng).gens
+            assert rng.getstate() == ref_rng.getstate()
+
+
+class TestColonReusesItsBasis:
+    """``Ideal.colon`` hands its reduced GB to the result, on both paths."""
+
+    CASES = {
+        "linear-algebra": (("x^2", "y^2"), ("x^2", "y^2", "z^2")),
+        "elimination": (("x^2", "x*y"), ("x",)),
+    }
+
+    @pytest.fixture(params=["fermat2", "F2xyz"])
+    def ring(self, request):
+        return RingContext(2, ["x", "y", "z"],
+                           "x^3+y^3+z^3" if request.param == "fermat2" else None)
+
+    @pytest.mark.parametrize("path", CASES)
+    def test_colon_gb_runs_no_buchberger(self, ring, path, monkeypatch):
+        a, b = self.CASES[path]
+        J = ring.ideal(*a).colon(ring.ideal(*b))
+        runs = []
+        original = rings.buchberger
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(rings, "buchberger", spy)
+        J.gb
+        assert runs == []
+
+    @pytest.mark.parametrize("path", CASES)
+    def test_basis_is_buchbergers(self, ring, path):
+        a, b = self.CASES[path]
+        J = ring.ideal(*a).colon(ring.ideal(*b))
+        expected = buchberger(J.lift_gens(), GREVLEX, ring.poly)
+        assert J.gb == expected
+        assert [list(g.terms.items()) for g in J.gb] == \
+            [list(g.terms.items()) for g in expected]
 
 
 class TestNoteIdentity:
