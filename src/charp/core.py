@@ -1,8 +1,9 @@
 """Exact multivariate polynomial arithmetic over prime fields F_p.
 
-Polynomials are immutable values in canonical form: a sorted tuple of
-(monomial, coefficient) pairs with nonzero coefficients in [0, p) and no
-duplicate monomials.  Monomials are plain tuples of non-negative integer
+Polynomials are immutable values: a ``terms`` dict mapping each monomial to
+its nonzero coefficient in [0, p), plus a canonical grevlex-descending
+tuple of (monomial, coefficient) pairs built lazily from it for hashing,
+equality and printing.  Monomials are plain tuples of non-negative integer
 exponents, one slot per ring variable.  All operations are pure functions;
 values may be freely shared.
 """

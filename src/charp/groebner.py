@@ -19,13 +19,13 @@ here; all others are eliminations): S/A is a finite F_p-vector space, so
 the colon is a nullspace over A's standard monomials, degree by degree,
 in the spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16,
 1993) and Marinari, Moeller & Mora (AAECC 4, 1993).  Its reduced basis is
-read off the kernels' row echelon forms and equals ``buchberger``'s.  Over
-F_2 the per-degree kernels run on rows packed into ints, one bit per
-standard monomial, so adding two rows is one XOR (the M4RI idea of
-Albrecht & Bard), and table keys are ints, so multiplying monomials is one
-integer addition.  Odd p keeps {monomial: coefficient} dicts: a row
-addition there is a multiply and a reduction mod p per entry, which no
-single operation on a packed int performs.
+read off the kernels, which come out in reduced row echelon form, and
+equals ``buchberger``'s.  Over F_2 the per-degree kernels run on rows
+packed into ints, one bit per standard monomial, so adding two rows is
+one XOR (the M4RI idea of Albrecht & Bard), and table keys are ints, so
+multiplying monomials is one integer addition.  Odd p keeps {monomial:
+coefficient} dicts: a row addition there is a multiply and a reduction
+mod p per entry, which no single operation on a packed int performs.
 """
 
 from __future__ import annotations
@@ -414,6 +414,12 @@ def _narrow_kernel(kernel, standard: list, divisors, table: dict, p: int) -> lis
     term lists of one degree delta, ``table`` the normal forms of degree
     d + delta.  Sparse Gaussian elimination on the images tracks the row
     combinations; those whose image vanishes span the kernel.
+
+    If ``kernel`` is in reduced row echelon form with ascending pivots, as
+    unit vectors in ascending grevlex are, so is the result: each kept
+    vector is its input plus a combination of earlier inputs, all of which
+    became image pivots, so its largest monomial is its input's pivot, with
+    coefficient 1, and no other kept vector meets it.
     """
     images = {}
     for u in (standard if kernel is None else {u for v in kernel for u in v}):
@@ -458,57 +464,12 @@ def _axpy(y: dict, a: int, x: dict, p: int):
             y.pop(k, None)
 
 
-def _rref_rows(vectors, p: int) -> dict:
-    """{pivot: row} of the reduced row echelon form of ``vectors``.
-
-    Columns run in grevlex-descending order, so each row's pivot is its
-    largest monomial, with coefficient 1, and no other row meets it.
-    """
-    rows: dict = {}
-    for vec in vectors:
-        vec = dict(vec)
-        for pivot, row in rows.items():
-            f = vec.get(pivot)
-            if f:
-                _axpy(vec, -f, row, p)
-        lead = max(vec, key=GREVLEX.key)
-        inv = pow(vec[lead], p - 2, p)
-        vec = {m: c * inv % p for m, c in vec.items()}
-        for row in rows.values():
-            f = row.get(lead)
-            if f:
-                _axpy(row, -f, vec, p)
-        rows[lead] = vec
-    return rows
-
-
 def _bits(v: int):
     """Indices of the set bits of v, lowest first."""
     while v:
         low = v & -v
         yield low.bit_length() - 1
         v ^= low
-
-
-def _rref_packed(vectors) -> dict:
-    """{pivot bit: row} of the reduced row echelon form of packed F_2 rows.
-
-    The F_2 twin of ``_rref_rows``: each row's pivot is its top bit, and no
-    other row has that bit set.
-    """
-    rows: dict = {}
-    for vec in vectors:
-        for pivot, row in rows.items():
-            if vec >> pivot & 1:
-                vec ^= row
-        if not vec:
-            continue
-        lead = vec.bit_length() - 1
-        for pivot, row in rows.items():
-            if row >> lead & 1:
-                rows[pivot] = row ^ vec
-        rows[lead] = vec
-    return rows
 
 
 class _PackedF2:
@@ -564,7 +525,9 @@ class _PackedF2:
         A row is image << n | combination, n the number of standard
         monomials of degree d; the image of u concatenates NF(u * b_j) at
         bit offset j * width.  Eliminating on the top bit carries the
-        combination along, and rows whose image vanishes span the kernel.
+        combination along, and rows whose image vanishes span the kernel;
+        as there, they are in reduced row echelon form, each pivot its top
+        bit, ascending.
         """
         ukeys = self.ukeys[d]
         n = len(ukeys)
@@ -606,12 +569,6 @@ class _PackedF2:
         monomials = self.standard[d]
         return {monomials[i]: 1 for i in _bits(vec)}
 
-    def rref(self, d: int, kernel) -> dict:
-        """``_rref_rows`` on packed rows, unpacked to {pivot: {monomial: 1}}."""
-        monomials = self.standard[d]
-        return {monomials[pivot]: self.unpack(d, row)
-                for pivot, row in _rref_packed(kernel).items()}
-
 
 def _colon_setup(gb, divisors, nvars: int):
     """(standard, top, by_degree, reducers) of the colon (gb) : (divisors).
@@ -647,12 +604,13 @@ def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
     monomials u of degree d, one nullspace per divisor degree.  A divisor
     of degree above A's top standard degree imposes nothing, and a degree
     never narrowed lies wholly in the colon.  The lead ideal of the colon is
-    leads(A) + the kernels' RREF pivots, so its reduced GB is read off
-    directly: a minimal pivot gives its row, and a minimal lead of g in
-    ``gb`` gives g with its pivot tail terms reduced by their rows.
+    leads(A) + the kernels' pivots, so its reduced GB is read off directly:
+    the narrowed kernels are already in reduced row echelon form, a minimal
+    pivot gives its row, and a minimal lead of g in ``gb`` gives g with its
+    pivot tail terms reduced by their rows.
 
-    Over F_2 the normal-form table, the narrowing and the RREF run on rows
-    packed into ints (``_PackedF2``), so a row operation is one XOR, in the
+    Over F_2 the normal-form table and the narrowing run on rows packed
+    into ints (``_PackedF2``), so a row operation is one XOR, in the
     manner of M4RI (Albrecht & Bard); the packed rows are unpacked before
     the basis is read off.  Odd p keeps the dict kernels, whose row
     additions need a multiply and a reduction mod p per entry.
@@ -682,10 +640,13 @@ def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
                                             table, p)
     rows: dict = {}  # pivot -> RREF row, over all degrees
     for d, monomials in standard.items():
-        if d in kernels:
-            rows.update(packed.rref(d, kernels[d]) if packed else _rref_rows(kernels[d], p))
-        else:
+        if d not in kernels:
             rows.update((u, {u: 1}) for u in monomials)
+        elif packed:
+            rows.update((monomials[v.bit_length() - 1], packed.unpack(d, v))
+                        for v in kernels[d])
+        else:
+            rows.update((max(v, key=GREVLEX.key), v) for v in kernels[d])
 
     def minimal(m):
         # each m / x_i is standard, so it lies in the colon's lead ideal iff

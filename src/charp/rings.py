@@ -129,7 +129,7 @@ class RingContext:
                 g = poly_gcd(g, d)
             self.reduced = g.is_constant()
         self.relation = relation
-        self._test_ideal = None  # write-once cache used by charp.singularity
+        self._test_ideal = None  # written only by singularity.test_ideal
 
     @property
     def variables(self):

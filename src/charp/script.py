@@ -6,26 +6,29 @@ Grammar (UTF-8, ';'-terminated statements, '#' comments):
     ideal <name> = <poly>, <poly>, ...;
     <name> = colon(A,B) | sum(A,B) | prod(A,B) | intersect(A,B)
            | bracket(A,<q>) | corner(A,<q>) | link(A[,a]) | star_colon(A)
-           | iq(A,<e>) | tau() | tilde(A,<depth>,<samples>);
+           | iq(A,<e>) | tau() | tilde(A[,<depth>[,<samples>]]);
     assert equal(A,B); assert member(<poly>, A); assert !member(<poly>, A);
     assert subset(A,B); assert unmixed(A);
     print gb(A) | len(A) | height(A);
 
-Assertion failures are recorded and execution continues; parse and ring
-errors, unknown names and wrong argument counts abort with exit code 2.
+Every function, assertion and print target is one entry of ``_OPERATIONS``:
+its argument kinds, the defaults of its optional trailing arguments and
+its callable.  Assertion failures are recorded and execution continues;
+parse and ring errors, unknown names, empty arguments and wrong argument
+counts abort with exit code 2.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import time
 
 from .core import AlgebraError
 from .frobenius import bracket_power
 from .linkage import corner_power, direct_link, tilde_approx
 from .rings import Ideal, RingContext, is_unmixed
 from .singularity import iq_approx, star_colon, test_ideal
+from .suites import _Report
 
 
 class ScriptError(AlgebraError):
@@ -48,29 +51,12 @@ def _split_statements(text: str):
 
 def _split_args(argtext: str):
     # top-level comma split (polynomial arguments contain no parentheses)
+    if not argtext.strip():
+        return []
     parts = [a.strip() for a in argtext.split(",")]
-    return [a for a in parts if a]
-
-
-# (min, max) argument count of every function, assertion and print target
-_ARITY = {
-    "function": {
-        "colon": (2, 2), "sum": (2, 2), "prod": (2, 2), "intersect": (2, 2),
-        "bracket": (2, 2), "corner": (2, 2), "link": (1, 2), "star_colon": (1, 1),
-        "iq": (2, 2), "tau": (0, 0), "tilde": (1, 3),
-    },
-    "assertion": {"equal": (2, 2), "member": (2, 2), "subset": (2, 2), "unmixed": (1, 1)},
-    "print target": {"gb": (1, 1), "len": (1, 1), "height": (1, 1)},
-}
-
-
-def _check_arity(kind: str, fn: str, args):
-    """Reject an unknown name or a wrong argument count before dispatch."""
-    if fn not in _ARITY[kind]:
-        raise ScriptError(f"unknown {kind} {fn!r}")
-    low, high = _ARITY[kind][fn]
-    if not low <= len(args) <= high:
-        raise ScriptError(f"wrong arity for {fn}()")
+    if not all(parts):
+        raise ScriptError(f"empty argument in {argtext.strip()!r}")
+    return parts
 
 
 def _integer(text: str) -> int:
@@ -80,16 +66,58 @@ def _integer(text: str) -> int:
         raise ScriptError(f"expected an integer, got {text!r}")
 
 
-class ScriptRunner:
-    """Executes one script; collects a SuiteReport-shaped result."""
+def _length(I: Ideal) -> str:
+    value = I.colength()
+    return "infinite" if value == float("inf") else str(int(value))
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+
+# Argument kinds: an ideal name, an integer, a power of p (passed on as its
+# exponent e) and a polynomial.
+IDEAL, INTEGER, POWER, POLY = "ideal", "integer", "power", "poly"
+
+# statement kind -> name -> (argument kinds, defaults of the optional
+# trailing arguments, callable).  The callable gets the runner and the
+# converted arguments; a function returns an Ideal, an assertion a bool
+# and a print target the text after "name(args) = ".
+_OPERATIONS = {
+    "function": {
+        "colon": ((IDEAL, IDEAL), (), lambda run, A, B: A.colon(B)),
+        "sum": ((IDEAL, IDEAL), (), lambda run, A, B: A + B),
+        "prod": ((IDEAL, IDEAL), (), lambda run, A, B: A * B),
+        "intersect": ((IDEAL, IDEAL), (), lambda run, A, B: A.intersect(B)),
+        "bracket": ((IDEAL, POWER), (), lambda run, A, e: bracket_power(A, e)),
+        "corner": ((IDEAL, POWER), (),
+                   lambda run, A, e: corner_power(A, e, samples=2, rng=run.rng).value),
+        "link": ((IDEAL, IDEAL), (None,), lambda run, A, a: direct_link(A, a, run.rng)[0]),
+        "star_colon": ((IDEAL,), (), lambda run, A: star_colon(A)),
+        "iq": ((IDEAL, INTEGER), (), lambda run, A, e: iq_approx(A, e)),
+        "tau": ((), (), lambda run: test_ideal(run.ring).tau),
+        "tilde": ((IDEAL, INTEGER, INTEGER), (2, 3),
+                  lambda run, A, depth, samples: tilde_approx(A, depth, samples, run.rng)[0]),
+    },
+    "assertion": {
+        "equal": ((IDEAL, IDEAL), (), lambda run, A, B: A == B),
+        "member": ((POLY, IDEAL), (), lambda run, f, A: A.contains(f)),
+        "subset": ((IDEAL, IDEAL), (), lambda run, A, B: B.contains_ideal(A)),
+        "unmixed": ((IDEAL,), (), lambda run, A: is_unmixed(A, run.rng)),
+    },
+    "print target": {
+        "gb": ((IDEAL,), (), lambda run, A: "[%s]" % ", ".join(A.gb_strings())),
+        "len": ((IDEAL,), (), lambda run, A: _length(A)),
+        "height": ((IDEAL,), (), lambda run, A: str(A.height())),
+    },
+}
+
+
+class ScriptRunner:
+    """Executes one script, statement by statement, into a suite report."""
+
+    def __init__(self, seed: int = 0, name: str = "script"):
         self.rng = random.Random(seed)
         self.ring: RingContext | None = None
         self.ideals: dict[str, Ideal] = {}
-        self.checks: list[dict] = []
-        self.output: list[str] = []
+        self.report = _Report(name, {}, seed)
+        self.checks = self.report.data["checks"]
 
     # -- helpers ---------------------------------------------------------
 
@@ -104,12 +132,11 @@ class ScriptRunner:
         return self.ideals[name]
 
     def _exponent(self, qtext: str) -> int:
-        ring = self._need_ring()
         try:
             q = int(qtext)
         except ValueError:
             raise ScriptError(f"expected a power of p, got {qtext!r}")
-        p = ring.field.p
+        p = self.ring.field.p
         e = 0
         while q > 1 and q % p == 0:
             q //= p
@@ -125,8 +152,8 @@ class ScriptRunner:
         if m:
             if self.ring is not None:
                 raise ScriptError("ring already declared (single ring per script)")
-            variables = [v.strip() for v in m.group("vars").split(",") if v.strip()]
             try:
+                variables = _split_args(m.group("vars"))
                 self.ring = RingContext(int(m.group("p")), variables, m.group("mod"))
             except AlgebraError as exc:
                 raise ScriptError(f"bad ring declaration: {exc}")
@@ -143,100 +170,54 @@ class ScriptRunner:
             return
         m = _ASSERT_RE.fullmatch(statement)
         if m:
-            self._run_assert(m.group("fn"), bool(m.group("neg")),
-                             _split_args(m.group("args")), statement)
+            ok = self._dispatch("assertion", m.group("fn"), _split_args(m.group("args")))
+            if m.group("neg"):
+                ok = not ok
+            self.report.check(statement, ok, "" if ok else "assertion failed")
             return
         m = _PRINT_RE.fullmatch(statement)
         if m:
-            self._run_print(m.group("fn"), _split_args(m.group("args")))
+            args = _split_args(m.group("args"))
+            value = self._dispatch("print target", m.group("fn"), args)
+            print(f"{m.group('fn')}({', '.join(args)}) = {value}")
             return
         m = _ASSIGN_RE.fullmatch(statement)
         if m:
-            self.ideals[m.group("name")] = self._eval(m.group("fn"),
-                                                      _split_args(m.group("args")))
+            self.ideals[m.group("name")] = self._dispatch(
+                "function", m.group("fn"), _split_args(m.group("args")))
             return
         raise ScriptError(f"cannot parse statement: {statement!r}")
 
-    def _eval(self, fn: str, args) -> Ideal:
-        ring = self._need_ring()
-        _check_arity("function", fn, args)
-        if fn == "colon":
-            return self._ideal(args[0]).colon(self._ideal(args[1]))
-        if fn == "sum":
-            return self._ideal(args[0]) + self._ideal(args[1])
-        if fn == "prod":
-            return self._ideal(args[0]) * self._ideal(args[1])
-        if fn == "intersect":
-            return self._ideal(args[0]).intersect(self._ideal(args[1]))
-        if fn == "bracket":
-            return bracket_power(self._ideal(args[0]), self._exponent(args[1]))
-        if fn == "corner":
-            return corner_power(self._ideal(args[0]), self._exponent(args[1]),
-                                samples=2, rng=self.rng).value
-        if fn == "link":
-            a = self._ideal(args[1]) if len(args) > 1 else None
-            J, _ = direct_link(self._ideal(args[0]), a, self.rng)
-            return J
-        if fn == "star_colon":
-            return star_colon(self._ideal(args[0]))
-        if fn == "iq":
-            return iq_approx(self._ideal(args[0]), _integer(args[1]))
-        if fn == "tau":
-            return test_ideal(ring).tau
-        # tilde
-        depth = _integer(args[1]) if len(args) > 1 else 2
-        samples = _integer(args[2]) if len(args) > 2 else 3
-        total, _ = tilde_approx(self._ideal(args[0]), depth, samples, self.rng)
-        return total
+    def _dispatch(self, kind: str, fn: str, args: list):
+        """Call the ``kind`` operation ``fn`` on ``args``, converted left to
+        right by their kinds, with the defaults of the arguments left out."""
+        self._need_ring()
+        if fn not in _OPERATIONS[kind]:
+            raise ScriptError(f"unknown {kind} {fn!r}")
+        kinds, defaults, call = _OPERATIONS[kind][fn]
+        missing = len(kinds) - len(args)
+        if not 0 <= missing <= len(defaults):
+            raise ScriptError(f"wrong arity for {fn}()")
+        values = [self._argument(k, a) for k, a in zip(kinds, args)]
+        return call(self, *values, *defaults[len(defaults) - missing:])
 
-    def _run_assert(self, fn: str, negated: bool, args, statement: str):
-        ring = self._need_ring()
-        _check_arity("assertion", fn, args)
-        if fn == "equal":
-            ok = self._ideal(args[0]) == self._ideal(args[1])
-        elif fn == "member":
-            ok = self._ideal(args[1]).contains(ring.parse(args[0]))
-        elif fn == "subset":
-            ok = self._ideal(args[1]).contains_ideal(self._ideal(args[0]))
-        else:  # unmixed
-            ok = is_unmixed(self._ideal(args[0]), self.rng)
-        if negated:
-            ok = not ok
-        self.checks.append({
-            "name": statement,
-            "status": "pass" if ok else "fail",
-            "details": "" if ok else "assertion failed",
-        })
-
-    def _run_print(self, fn: str, args):
-        _check_arity("print target", fn, args)
-        I = self._ideal(args[0])
-        if fn == "gb":
-            text = "gb(%s) = [%s]" % (args[0], ", ".join(I.gb_strings()))
-        elif fn == "len":
-            value = I.colength()
-            text = "len(%s) = %s" % (args[0], "infinite" if value == float("inf") else int(value))
-        else:  # height
-            text = "height(%s) = %d" % (args[0], I.height())
-        self.output.append(text)
-        print(text)
+    def _argument(self, kind: str, text: str):
+        if kind == IDEAL:
+            return self._ideal(text)
+        if kind == POLY:
+            return self.ring.parse(text)
+        if kind == POWER:
+            return self._exponent(text)
+        return _integer(text)
 
 
 def run_script_text(text: str, seed: int = 0, name: str = "script") -> dict:
     """Execute a script; returns a SuiteReport dict (exit code derivable
     from the check statuses)."""
-    runner = ScriptRunner(seed)
-    start = time.perf_counter()
+    runner = ScriptRunner(seed, name)
     for statement in _split_statements(text):
         runner.execute(statement)
-    elapsed = time.perf_counter() - start
-    return {
-        "suite": name,
-        "params": {},
-        "seed": seed,
-        "checks": runner.checks,
-        "timings": {"total_s": round(elapsed, 6)},
-    }
+    return runner.report.done()
 
 
 def run_script(path: str, seed: int = 0) -> dict:

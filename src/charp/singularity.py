@@ -34,10 +34,12 @@ class NotStabilized(AlgebraError):
     """The test-ideal chain did not stabilize within the iteration cap."""
 
 
+MAX_CHAIN_STEPS = 30  # cap on the steps of the test-ideal chain
+
+
 @dataclass(frozen=True)
 class TestElementCertificate:
     c: Polynomial
-    source: str  # "jacobian" or "user"
     ring: RingContext
 
 
@@ -57,7 +59,7 @@ def test_element(ring: RingContext, rng: random.Random | None = None,
     be nonzero mod f and coprime to f (hence in R^0 for reduced f).
     """
     if ring.relation is None:
-        return TestElementCertificate(ring.poly.one(), "jacobian", ring)
+        return TestElementCertificate(ring.poly.one(), ring)
     if not ring.reduced:
         raise NoTestElementFound("hypersurface relation is not reduced")
     f = ring.relation
@@ -73,10 +75,10 @@ def test_element(ring: RingContext, rng: random.Random | None = None,
 
     for c in partials:
         if usable(c):
-            return TestElementCertificate(c, "jacobian", ring)
+            return TestElementCertificate(c, ring)
     for a, b in itertools.combinations(partials, 2):
         if usable(a + b):
-            return TestElementCertificate(a + b, "jacobian", ring)
+            return TestElementCertificate(a + b, ring)
     if rng is None:
         rng = random.Random(0x7E57)
     p = ring.field.p
@@ -85,40 +87,27 @@ def test_element(ring: RingContext, rng: random.Random | None = None,
         for d in partials:
             c = c + d.scale(rng.randrange(p))
         if usable(c):
-            return TestElementCertificate(c, "jacobian", ring)
+            return TestElementCertificate(c, ring)
     raise NoTestElementFound("no element of the Jacobian ideal is coprime to f")
 
 
-def user_test_element(ring: RingContext, c) -> TestElementCertificate:
-    if isinstance(c, str):
-        c = ring.parse(c)
-    if c.is_zero() or (ring.relation is not None and normal_form(c, [ring.relation]).is_zero()):
-        raise NoTestElementFound("user-supplied element vanishes in R")
-    return TestElementCertificate(c, "user", ring)
-
-
-def test_ideal(ring: RingContext, override: Ideal | None = None,
-               max_iters: int = 30) -> TestIdealResult:
+def test_ideal(ring: RingContext) -> TestIdealResult:
     """The test ideal tau of the context, cached per ring.
 
     Polynomial rings are regular, so tau = (1).  For a reduced hypersurface
     the phi-compatible ascending chain from a Jacobian test element is
     iterated in S until it stabilizes; step k roots f^(p-1) times the
     reduced GB of J_k, and J_(k+1) is generated by that GB and the roots.
-    ``override`` installs a manual tau for rings where the Jacobian
-    heuristic fails.
     """
-    if override is not None:
-        result = TestIdealResult(override, (override, override), 0)
-        ring._test_ideal = result
-        return result
-    if ring._test_ideal is not None:
-        return ring._test_ideal
+    if ring._test_ideal is None:
+        ring._test_ideal = _test_ideal_chain(ring)
+    return ring._test_ideal
+
+
+def _test_ideal_chain(ring: RingContext) -> TestIdealResult:
     if ring.relation is None:
         tau = Ideal(ring, [ring.poly.one()])
-        result = TestIdealResult(tau, (tau, tau), 0)
-        ring._test_ideal = result
-        return result
+        return TestIdealResult(tau, (tau, tau), 0)
     S = ring.polynomial_ring()
     f = ring.relation
     p = ring.field.p
@@ -127,7 +116,7 @@ def test_ideal(ring: RingContext, override: Ideal | None = None,
     chain = [Ideal(ring, list(current.gens))]
     multiplier = f ** (p - 1)
     stable_at = None
-    for k in range(max_iters):
+    for k in range(MAX_CHAIN_STEPS):
         scaled = Ideal(S, [multiplier * g for g in current.gb])
         grown = Ideal(S, list(current.gb) + list(frobenius_root(scaled, 1).gens))
         chain.append(Ideal(ring, list(grown.gens)))
@@ -136,11 +125,8 @@ def test_ideal(ring: RingContext, override: Ideal | None = None,
             break
         current = grown
     if stable_at is None:
-        raise NotStabilized(f"test-ideal chain open after {max_iters} iterations")
-    tau = Ideal(ring, current.gb)
-    result = TestIdealResult(tau, tuple(chain), stable_at)
-    ring._test_ideal = result
-    return result
+        raise NotStabilized(f"test-ideal chain open after {MAX_CHAIN_STEPS} iterations")
+    return TestIdealResult(Ideal(ring, current.gb), tuple(chain), stable_at)
 
 
 def star_colon(I: Ideal, tau: Ideal | None = None) -> Ideal:

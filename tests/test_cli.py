@@ -91,6 +91,18 @@ class TestRunCommand:
         assert result.stderr == f"error: wrong arity for {name}()\n"
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("statement, message", [
+        ("C = colon(A,,B);", "empty argument in 'A,,B'"),
+        ("ideal Z = x,, y;", "bad ideal 'Z': empty argument in 'x,, y'"),
+    ], ids=["function", "ideal"])
+    def test_exit_two_on_empty_argument(self, tmp_path, statement, message):
+        f = tmp_path / "empty.alg"
+        f.write_text("ring R = char 2 vars x, y;\nideal A = x, y;\nideal B = x;\n" + statement)
+        result = run_charp(["run", str(f)])
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("case", ["directory", "not-utf8", "json-unwritable"])
     def test_io_error_is_one_line_exit_two(self, tmp_path, case):
         f = tmp_path / "ok.alg"

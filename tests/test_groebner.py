@@ -22,7 +22,6 @@ from charp.groebner import (
     _narrow_kernel,
     _normal_form_table,
     _PackedF2,
-    _rref_rows,
     buchberger,
     colength,
     divide_exact,
@@ -351,8 +350,9 @@ def f2_colons(draw):
 
 class TestPackedF2Kernels:
     """``_PackedF2`` computes what the dict kernels compute, degree by degree:
-    the same normal-form tables, narrowed kernels of the same span and the
-    same RREF rows."""
+    the same normal-form tables and the same narrowed kernels, vector for
+    vector, as both are the unique reduced row echelon basis of the kernel,
+    in ascending order of pivots."""
 
     @settings(max_examples=60, deadline=None)
     @given(f2_colons())
@@ -389,14 +389,5 @@ class TestPackedF2Kernels:
                 narrowed = _narrow_kernel(kernel, standard[d], by_degree[delta], table, 2)
                 pkernel = None if kernel is None else [pack(d, v) for v in kernel]
                 pnarrowed = packed.narrow(pkernel, d, delta, ptable)
-                assert len(pnarrowed) == len(narrowed)
-                assert packed.rref(d, pnarrowed) == _rref_rows(narrowed, 2)
+                assert [packed.unpack(d, v) for v in pnarrowed] == narrowed
                 kernels[d] = narrowed
-        for d, kernel in kernels.items():
-            vectors = [pack(d, v) for v in kernel]
-            assert packed.rref(d, vectors) == _rref_rows(kernel, 2)
-            # the same span from v_i + v_i+1 and v_last, which is no longer
-            # in echelon form, so earlier rows need back substitution
-            mixed = [v ^ w for v, w in zip(vectors, vectors[1:])] + vectors[-1:]
-            assert packed.rref(d, mixed) == \
-                _rref_rows([packed.unpack(d, v) for v in mixed], 2)

@@ -1,10 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from charp import rings
+from charp import groebner, rings
 from charp.core import GREVLEX, AlgebraError, PolyRing, Polynomial
 from charp.groebner import INFINITE, buchberger, colength, colon_by_linear_algebra
 from charp.rings import (
@@ -347,6 +348,12 @@ def zero_dim_colons(draw):
     return ring, gens, divisors
 
 
+def _cube_colon(p):
+    """(x^3, y^3, z^3) : (x + y) over F_p: kernels of up to three vectors."""
+    R = PolyRing(p, VARS[:3])
+    return R, [R.parse(f"{v}^3") for v in VARS[:3]], [R.parse(f"{VARS[0]}+{VARS[1]}")]
+
+
 def _both_colons(ring, gens, divisors):
     fast = colon_by_linear_algebra(buchberger(gens, ring=ring), divisors, ring)
     slow = rings._colon_gens(gens, divisors, ring)
@@ -359,6 +366,38 @@ class TestColonByLinearAlgebra:
     def test_same_reduced_gb_as_elimination(self, case):
         fast, slow = _both_colons(*case)
         assert fast == slow
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_dim_colons())
+    @example(_cube_colon(2))
+    @example(_cube_colon(3))
+    def test_narrowed_kernels_are_rref(self, case):
+        # the basis is read off the kernels without a row reduction: each
+        # vector's largest monomial is its pivot, with coefficient 1, in no
+        # other vector, and the pivots ascend
+        ring, gens, divisors = case
+        kernels = []
+        narrow_dict, narrow_packed = groebner._narrow_kernel, groebner._PackedF2.narrow
+
+        def spy_dict(*args):
+            kernels.append(narrow_dict(*args))
+            return kernels[-1]
+
+        def spy_packed(packed, kernel, d, *args):
+            rows = narrow_packed(packed, kernel, d, *args)
+            kernels.append([packed.unpack(d, v) for v in rows])
+            return rows
+
+        with mock.patch.object(groebner, "_narrow_kernel", spy_dict), \
+                mock.patch.object(groebner._PackedF2, "narrow", spy_packed):
+            colon_by_linear_algebra(buchberger(gens, ring=ring), divisors, ring)
+        for kernel in kernels:
+            pivots = [max(v, key=GREVLEX.key) for v in kernel]
+            keys = [GREVLEX.key(m) for m in pivots]
+            assert keys == sorted(set(keys))
+            for i, (v, m) in enumerate(zip(kernel, pivots)):
+                assert v[m] == 1
+                assert not any(m in w for j, w in enumerate(kernel) if j != i)
 
     def test_unit_dividend(self):
         R = PolyRing(3, ["x", "y"])

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from charp.script import ScriptError, run_script, run_script_text
+from charp import script
+from charp.script import ScriptError, ScriptRunner, run_script, run_script_text
 
 EXAMPLE_SCRIPT = """
 # corner power of I = (x^2, y^2, z^2) in the Fermat cubic over F_2
@@ -139,3 +143,101 @@ class TestRunScript:
     def test_seed_recorded(self):
         report = run_script_text("ring R = char 2 vars x;", seed=7)
         assert report["seed"] == 7
+
+    def test_report_shape(self):
+        report = run_script_text("ring R = char 2 vars x;\nideal I = x;\nassert member(x, I);",
+                                 name="s")
+        assert set(report) == {"suite", "params", "seed", "checks", "timings"}
+        assert (report["suite"], report["params"]) == ("s", {})
+        assert report["checks"] == [
+            {"name": "assert member(x, I)", "status": "pass", "details": ""}]
+
+
+SETUP = "ring R = char 2 vars x, y;\nideal A = x, y;\nideal B = x;\n"
+
+
+class TestArguments:
+    def test_empty_variable_is_script_error(self):
+        with pytest.raises(ScriptError, match="^bad ring declaration: empty argument in 'x,, y'$"):
+            run_script_text("ring R = char 2 vars x,, y;")
+
+    @pytest.mark.parametrize("statement", [
+        "C = colon(A,,B);",
+        "C = colon(A,B,);",
+        "C = colon(,A);",
+        "ideal Z = x,, y;",
+        "ideal Z = x,;",
+        "assert member(, A);",
+        "print gb(A,);",
+    ])
+    def test_empty_argument_is_script_error(self, statement):
+        with pytest.raises(ScriptError, match="empty argument in "):
+            run_script_text(SETUP + statement)
+
+    @pytest.mark.parametrize("statement", ["T = tau();", "T = tau( );"])
+    def test_tau_takes_no_arguments(self, statement):
+        report = run_script_text(SETUP + statement + "\nassert equal(T, T);")
+        assert statuses(report) == ["pass"]
+
+    @pytest.mark.parametrize("statement, name", [
+        ("C = tilde();", "tilde"),
+        ("C = link(A,B,A);", "link"),
+        ("T = tau(A);", "tau"),
+        ("assert unmixed();", "unmixed"),
+    ])
+    def test_optional_arguments_bound_the_count(self, statement, name):
+        with pytest.raises(ScriptError, match=rf"^wrong arity for {name}\(\)$"):
+            run_script_text(SETUP + statement)
+
+    def test_tilde_defaults_are_depth_2_and_3_samples(self):
+        results = []
+        for call in ("tilde(I)", "tilde(I, 2)", "tilde(I, 2, 3)"):
+            runner = ScriptRunner(seed=0)
+            for statement in ("ring R = char 2 vars x, y, z mod x^3 + y^3 + z^3",
+                              "ideal I = x^2, y^2, z", f"T = {call}"):
+                runner.execute(statement)
+            results.append(runner.ideals["T"].gb_strings())
+        assert results[0] == results[1] == results[2]
+
+    def test_arguments_convert_left_to_right(self):
+        with pytest.raises(ScriptError, match="^unknown ideal 'X'$"):
+            run_script_text(SETUP + "assert subset(X, Y);")
+
+
+def grammar_operations(block: str) -> dict:
+    """{statement kind: {name: (fewest, most) arguments}} of a grammar block.
+
+    Optional arguments are the bracketed ones, as in ``link(A[,a])``.
+    """
+    found: dict = {kind: {} for kind in script._OPERATIONS}
+    for statement in block.split(";"):
+        statement = statement.strip()
+        if statement.startswith("assert"):
+            kind = "assertion"
+        elif statement.startswith("print"):
+            kind = "print target"
+        elif statement.startswith("<name>"):
+            kind = "function"
+        else:
+            continue
+        for name, args in re.findall(r"(\w+)\(([^()]*)\)", statement):
+            required = [a for a in args.split("[")[0].split(",") if a.strip()]
+            found[kind][name] = (len(required), len(required) + args.count("["))
+    return found
+
+
+def registry_operations() -> dict:
+    return {kind: {name: (len(kinds) - len(defaults), len(kinds))
+                   for name, (kinds, defaults, _) in entries.items()}
+            for kind, entries in script._OPERATIONS.items()}
+
+
+class TestGrammarMatchesRegistry:
+    def test_readme_grammar_block(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"Script grammar.*?```\n(.*?)```", readme, re.S).group(1)
+        assert grammar_operations(block) == registry_operations()
+
+    def test_module_docstring_grammar(self):
+        block = re.search(r"Grammar .*?:\n\n(.*?)\n\n", script.__doc__, re.S).group(1)
+        assert grammar_operations(block) == registry_operations()

@@ -12,7 +12,6 @@ from charp.singularity import (
     iq_approx,
     star_approx,
     star_colon,
-    user_test_element,
 )
 from charp.singularity import test_element as compute_test_element
 from charp.singularity import test_ideal as compute_test_ideal
@@ -32,12 +31,10 @@ class TestTestElement:
     def test_polynomial_ring_gets_unit(self, poly2):
         cert = compute_test_element(poly2)
         assert cert.c == poly2.poly.one()
-        assert cert.source == "jacobian"
 
     def test_fermat_gets_jacobian_partial(self, fermat2):
         cert = compute_test_element(fermat2)
         assert not cert.c.is_zero()
-        assert cert.source == "jacobian"
         # the element survives in R and is coprime to the relation
         assert not fermat2.zero_ideal().contains(cert.c)
 
@@ -45,12 +42,6 @@ class TestTestElement:
         ring = RingContext(3, ["x", "y"], "x^2")
         with pytest.raises(NoTestElementFound):
             compute_test_element(ring)
-
-    def test_user_supplied_element(self, fermat2):
-        cert = user_test_element(fermat2, "x^2")
-        assert cert.source == "user"
-        with pytest.raises(NoTestElementFound):
-            user_test_element(fermat2, "x^3+y^3+z^3")
 
 
 class TestTestIdeal:
@@ -84,11 +75,6 @@ class TestTestIdeal:
         root = frobenius_root(scaled, 1)
         assert Ideal(fermat2, list(tau_S.gens)) .contains_ideal(
             Ideal(fermat2, list(root.gens)))
-
-    def test_override(self):
-        ring = RingContext(2, ["x", "y", "z"], "x^3+y^3+z^3")
-        manual = ring.ideal("x", "y", "z")
-        assert compute_test_ideal(ring, override=manual).tau == manual
 
 
 def raw_chain(ring, c, max_iters=30):
