@@ -5,20 +5,18 @@ computes the minimal ideal K with J inside K^[q] (polynomial rings only);
 frobenius_preimage computes the largest ideal L with L^[q] inside K, i.e.
 {u : u^q in K}.  Root and preimage differ in general: (x^3) at p = 2 has
 root (x) but preimage (x^2).
+
+For a homogeneous lift of finite colength the preimage runs on the colon's
+zero-dimensional engine (``groebner.preimage_by_linear_algebra``): it is
+K plus, in each degree, the kernel of u -> NF(u^q) over K's standard
+monomials, and its generators are its reduced GB.  Every other preimage is
+an elimination of the substitution ideal K + (y_i - x_i^q).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .core import GREVLEX, AlgebraError, ExponentOverflow, PolyRing, Polynomial, mono_pow
-from .groebner import (
-    INFINITE,
-    eliminate,
-    normal_form,
-    remap_polynomial,
-    standard_monomials,
-)
+from .core import AlgebraError, ExponentOverflow, PolyRing, Polynomial, mono_pow
+from .groebner import INFINITE, eliminate, preimage_by_linear_algebra, remap_polynomial
 from .rings import Ideal, RingContext
 
 MAX_E = 10
@@ -97,85 +95,15 @@ def _preimage_by_elimination(gb, q: int, ring: PolyRing) -> list:
     return [remap_polynomial(g, ring, back) for g in elim]
 
 
-def _preimage_by_linear_algebra(gb, q: int, ring: PolyRing) -> list:
-    """Fast path for homogeneous finite-colength K.
-
-    u -> u^q is F_p-linear in the coefficients of u, so the preimage below
-    the degree where it trivially contains a power of the maximal ideal is a
-    nullspace computation over the standard monomials of K.
-    """
-    n = ring.nvars
-    p = ring.field.p
-    std = standard_monomials(gb, n)
-    dmax = max((sum(m) for m in std), default=0)
-    bound = -(-(dmax + 1) // q)  # ceil: m^bound lies in the preimage
-    cols = [m for m in itertools.product(range(bound), repeat=n) if sum(m) < bound]
-    cols.sort(key=GREVLEX.key)
-    # residues of x^(q*m) mod K, one column per candidate monomial
-    residues = []
-    for m in cols:
-        r = normal_form(Polynomial(ring, {mono_pow(m, q): 1}), gb)
-        residues.append(r.terms)
-    support = sorted({t for r in residues for t in r}, key=GREVLEX.key)
-    row_of = {t: i for i, t in enumerate(support)}
-    ncols = len(cols)
-    matrix = [[0] * ncols for _ in support]
-    for j, r in enumerate(residues):
-        for t, c in r.items():
-            matrix[row_of[t]][j] = c
-    basis = _nullspace_mod_p(matrix, ncols, p)
-    gens = [Polynomial(ring, {cols[j]: c for j, c in enumerate(vec) if c})
-            for vec in basis]
-    for m in itertools.product(range(bound + 1), repeat=n):
-        if sum(m) == bound:
-            gens.append(Polynomial(ring, {m: 1}))
-    return gens
-
-
-def _nullspace_mod_p(matrix, ncols: int, p: int):
-    """Basis of the right nullspace of an integer matrix over F_p."""
-    rows = [row[:] for row in matrix]
-    nrows = len(rows)
-    pivot_col_of_row = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivot_col_of_row.append(c)
-        r += 1
-        if r == nrows:
-            break
-    pivots = set(pivot_col_of_row)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivot_col_of_row):
-            vec[pc] = (-rows[i][fc]) % p
-        basis.append(vec)
-    return basis
-
-
 def frobenius_preimage(K: Ideal, e: int) -> Ideal:
     """The largest ideal L with L^[q] inside K, i.e. {u : u^q in K}.
 
     Computed on the lift in S (the lift contains the relation, so the
-    quotient case reduces to the polynomial one).  Uses a linear-algebra
-    fast path when the lift is homogeneous of finite colength, otherwise
-    the substitution-ideal elimination construction.
+    quotient case reduces to the polynomial one).  When the lift is
+    homogeneous of finite colength the colon's linear-algebra engine
+    returns the reduced GB of the preimage, which becomes both its
+    generators and its basis; otherwise the substitution ideal is
+    eliminated.
     """
     q = frobenius_q(K.ring, e)
     if q == 1:
@@ -186,7 +114,10 @@ def frobenius_preimage(K: Ideal, e: int) -> Ideal:
         return Ideal(K.ring, [ring.one()])
     homogeneous = all(g.is_homogeneous() for g in gb)
     if homogeneous and K.colength() is not INFINITE:
-        gens = _preimage_by_linear_algebra(gb, q, ring)
-    else:
-        gens = _preimage_by_elimination(gb, q, ring)
-    return Ideal(K.ring, gens)
+        gens = preimage_by_linear_algebra(gb, q, ring)
+        L = Ideal(K.ring, gens)
+        # the preimage contains K, hence the relation, so this is already
+        # the lift's reduced GB
+        L._gb = gens
+        return L
+    return Ideal(K.ring, _preimage_by_elimination(gb, q, ring))

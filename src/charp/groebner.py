@@ -18,12 +18,15 @@ colength and homogeneous B (``Ideal.colon`` sends exactly those colons
 here; all others are eliminations): S/A is a finite F_p-vector space, so
 the colon is a nullspace over A's standard monomials, degree by degree,
 in the spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16,
-1993) and Marinari, Moeller & Mora (AAECC 4, 1993).  Its reduced basis is
-read off the kernels, which come out in reduced row echelon form, and
-equals ``buchberger``'s.  Over F_2 the per-degree kernels run on rows
-packed into ints, one bit per standard monomial, so adding two rows is
-one XOR (the M4RI idea of Albrecht & Bard), and table keys are ints, so
-multiplying monomials is one integer addition.  Odd p keeps {monomial:
+1993) and Marinari, Moeller & Mora (AAECC 4, 1993).
+``preimage_by_linear_algebra`` computes the Frobenius preimage
+{u : u^q in A} on the same engine, ``_Quotient``: only the image of a
+standard monomial u changes, from (NF(u * b))_b to NF(u^q).  Both reduced
+bases are read off the kernels, which come out in reduced row echelon
+form, and equal ``buchberger``'s.  Over F_2 the per-degree kernels run on
+rows packed into ints, one bit per standard monomial, so adding two rows
+is one XOR (the M4RI idea of Albrecht & Bard), and table keys are ints,
+so multiplying monomials is one integer addition.  Odd p keeps {monomial:
 coefficient} dicts: a row addition there is a multiply and a reduction
 mod p per entry, which no single operation on a packed int performs.
 """
@@ -46,6 +49,7 @@ from .core import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    mono_pow,
 )
 
 
@@ -288,13 +292,12 @@ def krull_dimension(gb, nvars: int) -> int:
         raise UnitIdeal("dimension of the zero ring is undefined")
     leads = [g.leading_monomial(GREVLEX) for g in gb]
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
-    best = 0
     for r in range(nvars, 0, -1):
         for combo in itertools.combinations(range(nvars), r):
             u = set(combo)
             if all(not s <= u for s in supports):
                 return r
-    return best
+    return 0
 
 
 def _staircase(gb, nvars: int):
@@ -406,14 +409,14 @@ def _normal_form_table(reducers, standard: set, nvars: int, e: int, p: int) -> d
     return table
 
 
-def _narrow_kernel(kernel, standard: list, divisors, table: dict, p: int) -> list:
-    """Basis of {v in span(kernel) : NF(v * b) = 0 for every b in ``divisors``}.
+def _narrow_kernel(kernel, standard: list, image, p: int) -> list:
+    """Basis of {v in span(kernel) : sum of v_u * image(u) over u is 0}.
 
-    Vectors are {standard monomial: coefficient} dicts of one degree d;
-    ``kernel`` None stands for all of span(standard).  ``divisors`` are the
-    term lists of one degree delta, ``table`` the normal forms of degree
-    d + delta.  Sparse Gaussian elimination on the images tracks the row
-    combinations; those whose image vanishes span the kernel.
+    Vectors are {standard monomial: coefficient} dicts of one degree;
+    ``kernel`` None stands for all of span(standard), and ``image`` maps a
+    standard monomial to its image, a dict over F_p.  Sparse Gaussian
+    elimination on the images tracks the row combinations; those whose
+    image vanishes span the kernel.
 
     If ``kernel`` is in reduced row echelon form with ascending pivots, as
     unit vectors in ascending grevlex are, so is the result: each kept
@@ -421,35 +424,27 @@ def _narrow_kernel(kernel, standard: list, divisors, table: dict, p: int) -> lis
     became image pivots, so its largest monomial is its input's pivot, with
     coefficient 1, and no other kept vector meets it.
     """
-    images = {}
-    for u in (standard if kernel is None else {u for v in kernel for u in v}):
-        acc: dict = {}
-        for j, terms in enumerate(divisors):
-            for t, c in terms:
-                for s, v in table[tuple(map(add, u, t))].items():
-                    key = (j, s)
-                    acc[key] = acc.get(key, 0) + c * v
-        images[u] = {k: v % p for k, v in acc.items() if v % p}
     if kernel is None:
         kernel = [{u: 1} for u in standard]
+    images = {u: image(u) for u in {u for v in kernel for u in v}}
     pivots = []  # (pivot key, image with coefficient 1 there, combination)
     narrowed = []
     for vec in kernel:
-        image: dict = {}
+        image_of_vec: dict = {}
         for u, c in vec.items():
-            _axpy(image, c, images[u], p)
+            _axpy(image_of_vec, c, images[u], p)
         combo = dict(vec)
         for key, prow, pcombo in pivots:
-            f = image.get(key)
+            f = image_of_vec.get(key)
             if f:
-                _axpy(image, -f, prow, p)
+                _axpy(image_of_vec, -f, prow, p)
                 _axpy(combo, -f, pcombo, p)
-        if not image:
+        if not image_of_vec:
             narrowed.append(combo)
             continue
-        key, lead = next(iter(image.items()))
+        key, lead = next(iter(image_of_vec.items()))
         inv = pow(lead, p - 2, p)
-        pivots.append((key, {k: w * inv % p for k, w in image.items()},
+        pivots.append((key, {k: w * inv % p for k, w in image_of_vec.items()},
                        {k: w * inv % p for k, w in combo.items()}))
     return narrowed
 
@@ -472,28 +467,123 @@ def _bits(v: int):
         v ^= low
 
 
-class _PackedF2:
-    """The three per-degree colon kernels over F_2, on rows packed into ints.
+class _Quotient:
+    """S/A for the reduced grevlex GB of a homogeneous A of finite colength.
+
+    Holds A's standard monomials by degree, in ascending grevlex, with the
+    top standard degree, and the (lead, tail terms) of each element of the
+    GB.  A subspace V of span(standard monomials) with A + V an ideal is
+    kept as one kernel basis per degree; ``basis`` reads the reduced GB of
+    A + V off them.  Rows are {standard monomial: coefficient} dicts here;
+    ``_PackedF2`` packs them into ints over F_2.
+    """
+
+    def __init__(self, gb, ring: PolyRing):
+        self.ring = ring
+        self.p = ring.field.p
+        self.nvars = ring.nvars
+        self.standard: dict = {}
+        for m in sorted(standard_monomials(gb, self.nvars), key=GREVLEX.descending_key,
+                        reverse=True):
+            self.standard.setdefault(sum(m), []).append(m)
+        self.top = max(self.standard, default=-1)
+        self.reducers = []
+        for g in gb:
+            lm = g.leading_monomial(GREVLEX)
+            self.reducers.append((lm, [(m, c) for m, c in g.terms.items() if m != lm]))
+
+    def table(self, e: int) -> dict:
+        return _normal_form_table(self.reducers, set(self.standard[e]), self.nvars, e, self.p)
+
+    def narrow(self, kernel, d: int, image) -> list:
+        return _narrow_kernel(kernel, self.standard[d], image, self.p)
+
+    def divisor(self, b: Polynomial):
+        """b in the form ``colon_image`` takes: its term list."""
+        return list(b.terms.items())
+
+    def colon_image(self, divisors, e: int, table: dict):
+        """u -> (NF(u * b))_b, ``divisors`` of one degree in ``divisor`` form
+        and ``table`` the normal forms of degree e = deg u + deg b."""
+        p = self.p
+
+        def image(u):
+            acc: dict = {}
+            for j, terms in enumerate(divisors):
+                for t, c in terms:
+                    for s, v in table[tuple(map(add, u, t))].items():
+                        key = (j, s)
+                        acc[key] = acc.get(key, 0) + c * v
+            return {k: v % p for k, v in acc.items() if v % p}
+        return image
+
+    def preimage_image(self, q: int, table: dict):
+        """u -> NF(u^q): Frobenius is additive, so NF(v^q) = sum v_u NF(u^q)."""
+        return lambda u: table[mono_pow(u, q)]
+
+    def rows(self, d: int, kernel):
+        """(pivot, row as a dict) of each vector of a degree-d kernel."""
+        return [(max(v, key=GREVLEX.key), v) for v in kernel]
+
+    def basis(self, kernels: dict) -> list:
+        """Reduced grevlex GB of A + V, V given by ``kernels``: degree -> kernel
+        basis in reduced row echelon form; a degree absent from ``kernels``
+        lies wholly in V.
+
+        The lead ideal of A + V is leads(A) + the pivots of V, so a minimal
+        pivot gives its row, and a minimal lead of g in A's GB gives g with
+        its pivot tail terms reduced by their rows; no row reduction runs.
+        """
+        rows: dict = {}  # pivot -> RREF row, over all degrees
+        for d, monomials in self.standard.items():
+            if d in kernels:
+                rows.update(self.rows(d, kernels[d]))
+            else:
+                rows.update((u, {u: 1}) for u in monomials)
+
+        def minimal(m):
+            # each m / x_i is standard, so it lies in the lead ideal of A + V
+            # iff it is a pivot
+            return not any(e and m[:i] + (e - 1,) + m[i + 1:] in rows
+                           for i, e in enumerate(m))
+
+        out = []
+        for lm, tail in self.reducers:
+            if minimal(lm):
+                terms = {lm: 1}
+                terms.update(tail)
+                for t, c in tail:
+                    row = rows.get(t)
+                    if row is not None:
+                        _axpy(terms, -c, row, self.p)
+                out.append(terms)
+        out.extend(row for pivot, row in rows.items() if minimal(pivot))
+        gens = [Polynomial(self.ring, dict(sorted(terms.items(),
+                                                  key=lambda t: GREVLEX.descending_key(t[0]))))
+                for terms in out]
+        gens.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+        return gens
+
+
+class _PackedF2(_Quotient):
+    """``_Quotient`` over F_2 with its per-degree kernels on rows packed into ints.
 
     A vector of degree d is an int whose bit i stands for ``standard[d][i]``,
     the standard monomials of degree d in ascending grevlex, so the top bit
     is the largest monomial and adding two rows is one XOR.  Table keys are
     ints too: m -> sum m_i * B^i with B > top, so x^c * t is one integer
-    addition; no carry occurs, as no exponent in a table exceeds the top
-    standard degree.  Every nonzero coefficient over F_2 is 1, so the term
-    lists reduce to their keys.
+    addition and u^q is one multiplication; no carry occurs, as no exponent
+    in a table exceeds the top standard degree.  Every nonzero coefficient
+    over F_2 is 1, so the term lists reduce to their keys.
     """
 
-    def __init__(self, reducers, standard: dict, by_degree: dict, top: int, nvars: int):
-        self.weights = [(top + 1) ** i for i in range(nvars)]
-        self.nvars = nvars
-        self.standard = standard
-        self.index = {d: {m: i for i, m in enumerate(ms)} for d, ms in standard.items()}
-        self.ukeys = {d: [self.key(u) for u in ms] for d, ms in standard.items()}
-        self.reducers = [(lm, self.key(lm), [self.key(t) for t, _ in tail])
-                         for lm, tail in reducers]
-        self.divisors = {delta: [[self.key(t) for t, _ in terms] for terms in lists]
-                         for delta, lists in by_degree.items()}
+    def __init__(self, gb, ring: PolyRing):
+        super().__init__(gb, ring)
+        self.weights = [(self.top + 1) ** i for i in range(self.nvars)]
+        self.index = {d: {m: i for i, m in enumerate(ms)} for d, ms in self.standard.items()}
+        self.ukeys = {d: [self.key(u) for u in ms] for d, ms in self.standard.items()}
+        self.packed_reducers = [(lm, self.key(lm), [self.key(t) for t, _ in tail])
+                                for lm, tail in self.reducers]
 
     def key(self, m: tuple) -> int:
         return sum(map(mul, m, self.weights))
@@ -509,7 +599,7 @@ class _PackedF2:
             if i is not None:
                 table[k] = 1 << i
                 continue
-            for lm, lk, tail in self.reducers:
+            for lm, lk, tail in self.packed_reducers:
                 if all(map(le, lm, m)):
                     break
             shift = k - lk
@@ -519,35 +609,23 @@ class _PackedF2:
             table[k] = row
         return table
 
-    def narrow(self, kernel, d: int, delta: int, table: dict) -> list:
-        """``_narrow_kernel`` on packed rows.
+    def narrow(self, kernel, d: int, image) -> list:
+        """``_narrow_kernel`` on packed rows; ``image`` maps key(u) to an int.
 
         A row is image << n | combination, n the number of standard
-        monomials of degree d; the image of u concatenates NF(u * b_j) at
-        bit offset j * width.  Eliminating on the top bit carries the
+        monomials of degree d.  Eliminating on the top bit carries the
         combination along, and rows whose image vanishes span the kernel;
         as there, they are in reduced row echelon form, each pivot its top
         bit, ascending.
         """
         ukeys = self.ukeys[d]
         n = len(ukeys)
-        width = len(self.ukeys[d + delta])
-        divisors = self.divisors[delta]
         if kernel is None:
             kernel = [1 << i for i in range(n)]
         support = 0
         for vec in kernel:
             support |= vec
-        images = {}
-        for i in _bits(support):
-            uk = ukeys[i]
-            image = 0
-            for j, terms in enumerate(divisors):
-                acc = 0
-                for t in terms:
-                    acc ^= table[uk + t]
-                image |= acc << (j * width)
-            images[i] = image << n
+        images = {i: image(ukeys[i]) << n for i in _bits(support)}
         pivots: dict = {}  # top bit -> row
         narrowed = []
         for vec in kernel:
@@ -565,33 +643,36 @@ class _PackedF2:
                 narrowed.append(row)
         return narrowed
 
+    def divisor(self, b: Polynomial):
+        return [self.key(t) for t in b.terms]
+
+    def colon_image(self, divisors, e: int, table: dict):
+        """key(u) -> NF(u * b_j) concatenated at bit offset j * width."""
+        width = len(self.ukeys[e])
+
+        def image(uk):
+            out = 0
+            for j, terms in enumerate(divisors):
+                acc = 0
+                for t in terms:
+                    acc ^= table[uk + t]
+                out |= acc << (j * width)
+            return out
+        return image
+
+    def preimage_image(self, q: int, table: dict):
+        return lambda uk: table[q * uk]
+
+    def rows(self, d: int, kernel):
+        return [(self.standard[d][v.bit_length() - 1], self.unpack(d, v)) for v in kernel]
+
     def unpack(self, d: int, vec: int) -> dict:
         monomials = self.standard[d]
         return {monomials[i]: 1 for i in _bits(vec)}
 
 
-def _colon_setup(gb, divisors, nvars: int):
-    """(standard, top, by_degree, reducers) of the colon (gb) : (divisors).
-
-    ``standard`` maps each degree to its standard monomials in ascending
-    grevlex and ``top`` is the top standard degree; ``by_degree`` maps each
-    divisor degree up to ``top`` to the divisors' term lists; ``reducers``
-    holds (lead, tail terms) of each element of ``gb``.
-    """
-    standard: dict = {}
-    for m in sorted(standard_monomials(gb, nvars), key=GREVLEX.descending_key,
-                    reverse=True):
-        standard.setdefault(sum(m), []).append(m)
-    top = max(standard, default=-1)
-    by_degree: dict = {}
-    for b in divisors:
-        if b.degree() <= top:
-            by_degree.setdefault(b.degree(), []).append(list(b.terms.items()))
-    reducers = []
-    for g in gb:
-        lm = g.leading_monomial(GREVLEX)
-        reducers.append((lm, [(m, c) for m, c in g.terms.items() if m != lm]))
-    return standard, top, by_degree, reducers
+def _quotient(gb, ring: PolyRing) -> _Quotient:
+    return _PackedF2(gb, ring) if ring.field.p == 2 else _Quotient(gb, ring)
 
 
 def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
@@ -599,76 +680,54 @@ def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
 
     ``gb`` is the reduced grevlex GB of a homogeneous ideal A of finite
     colength and ``divisors`` are homogeneous; zero divisors are ignored.
-    Then A : B = A + K with K spanned by standard monomials of A, and each
-    degree d of K is the kernel of u -> (NF(u * b))_b over the standard
+    Then A : B = A + V with V spanned by standard monomials of A, and each
+    degree d of V is the kernel of u -> (NF(u * b))_b over the standard
     monomials u of degree d, one nullspace per divisor degree.  A divisor
     of degree above A's top standard degree imposes nothing, and a degree
-    never narrowed lies wholly in the colon.  The lead ideal of the colon is
-    leads(A) + the kernels' pivots, so its reduced GB is read off directly:
-    the narrowed kernels are already in reduced row echelon form, a minimal
-    pivot gives its row, and a minimal lead of g in ``gb`` gives g with its
-    pivot tail terms reduced by their rows.
+    never narrowed lies wholly in the colon.
 
     Over F_2 the normal-form table and the narrowing run on rows packed
     into ints (``_PackedF2``), so a row operation is one XOR, in the
-    manner of M4RI (Albrecht & Bard); the packed rows are unpacked before
-    the basis is read off.  Odd p keeps the dict kernels, whose row
-    additions need a multiply and a reduction mod p per entry.
+    manner of M4RI (Albrecht & Bard).  Odd p keeps the dict kernels, whose
+    row additions need a multiply and a reduction mod p per entry.
     """
     divisors = [b for b in divisors if not b.is_zero()]
     if not divisors:
         return [ring.one()]
-    nvars = ring.nvars
-    p = ring.field.p
-    standard, top, by_degree, reducers = _colon_setup(gb, divisors, nvars)
-    packed = _PackedF2(reducers, standard, by_degree, top, nvars) if p == 2 else None
+    quotient = _quotient(gb, ring)
+    by_degree: dict = {}
+    for b in divisors:
+        if b.degree() <= quotient.top:
+            by_degree.setdefault(b.degree(), []).append(quotient.divisor(b))
     kernels: dict = {}  # degree -> narrowed kernel basis; absent: never narrowed
-    for e in range(top + 1):
+    for e in range(quotient.top + 1):
         narrow = [(delta, e - delta) for delta in sorted(by_degree)
-                  if e - delta in standard and kernels.get(e - delta) != []]
+                  if e - delta >= 0 and kernels.get(e - delta) != []]
         if not narrow:
             continue
-        if packed:
-            table = packed.table(e)
-        else:
-            table = _normal_form_table(reducers, set(standard[e]), nvars, e, p)
+        table = quotient.table(e)
         for delta, d in narrow:
-            if packed:
-                kernels[d] = packed.narrow(kernels.get(d), d, delta, table)
-            else:
-                kernels[d] = _narrow_kernel(kernels.get(d), standard[d], by_degree[delta],
-                                            table, p)
-    rows: dict = {}  # pivot -> RREF row, over all degrees
-    for d, monomials in standard.items():
-        if d not in kernels:
-            rows.update((u, {u: 1}) for u in monomials)
-        elif packed:
-            rows.update((monomials[v.bit_length() - 1], packed.unpack(d, v))
-                        for v in kernels[d])
-        else:
-            rows.update((max(v, key=GREVLEX.key), v) for v in kernels[d])
+            image = quotient.colon_image(by_degree[delta], e, table)
+            kernels[d] = quotient.narrow(kernels.get(d), d, image)
+    return quotient.basis(kernels)
 
-    def minimal(m):
-        # each m / x_i is standard, so it lies in the colon's lead ideal iff
-        # it is a pivot
-        return not any(e and m[:i] + (e - 1,) + m[i + 1:] in rows for i, e in enumerate(m))
 
-    out = []
-    for lm, tail in reducers:
-        if minimal(lm):
-            terms = {lm: 1}
-            terms.update(tail)
-            for t, c in tail:
-                row = rows.get(t)
-                if row is not None:
-                    _axpy(terms, -c, row, p)
-            out.append(terms)
-    out.extend(row for pivot, row in rows.items() if minimal(pivot))
-    gens = [Polynomial(ring, dict(sorted(terms.items(),
-                                         key=lambda t: GREVLEX.descending_key(t[0]))))
-            for terms in out]
-    gens.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
-    return gens
+def preimage_by_linear_algebra(gb, q: int, ring: PolyRing):
+    """Reduced grevlex GB of {u : u^q in (gb)}, the list ``buchberger`` returns.
+
+    ``gb`` is the reduced grevlex GB of a homogeneous ideal K of finite
+    colength.  As u - NF(u) lies in K and Frobenius is additive, the
+    preimage is K + V, where each degree d of V is the kernel of
+    u -> NF(u^q) over the standard monomials u of degree d; a degree above
+    top / q lies wholly in the preimage.  The kernels and the basis are
+    those of ``colon_by_linear_algebra``, with the image of u changed.
+    """
+    quotient = _quotient(gb, ring)
+    kernels = {}
+    for d in range(quotient.top // q + 1):
+        table = quotient.table(q * d)
+        kernels[d] = quotient.narrow(None, d, quotient.preimage_image(q, table))
+    return quotient.basis(kernels)
 
 
 def divide_exact(f: Polynomial, g: Polynomial):

@@ -205,7 +205,10 @@ class ScriptRunner:
         if kind == IDEAL:
             return self._ideal(text)
         if kind == POLY:
-            return self.ring.parse(text)
+            try:
+                return self.ring.parse(text)
+            except AlgebraError as exc:
+                raise ScriptError(f"bad polynomial {text!r}: {exc}")
         if kind == POWER:
             return self._exponent(text)
         return _integer(text)

@@ -178,8 +178,6 @@ def certify_not_in_star(x, I: Ideal,
 class StarApproxReport:
     lower: Ideal
     upper: Ideal
-    stabilized: bool
-    q0_candidate: int | None
     chain: tuple
     m_primary: bool
 
@@ -191,9 +189,6 @@ class StarApproxReport:
 def star_approx(I: Ideal, e_max: int = 3) -> StarApproxReport:
     """Two-sided bounds on I^*: upper = I_(p^e_max), lower = I, improved to
     I : tau when I is a complete intersection (finite projective dimension).
-
-    ``stabilized`` records I_q = I_pq at the top two levels; q0_candidate is
-    the first exponent where the chain repeats.
     """
     tau = test_ideal(I.ring).tau
     chain = [iq_approx(I, e, tau) for e in range(e_max + 1)]
@@ -204,11 +199,4 @@ def star_approx(I: Ideal, e_max: int = 3) -> StarApproxReport:
             lower = star_colon(I, tau)
     except AlgebraError:
         pass
-    q0 = None
-    for e in range(e_max):
-        if chain[e] == chain[e + 1]:
-            q0 = e
-            break
-    stabilized = e_max >= 1 and chain[e_max] == chain[e_max - 1]
-    return StarApproxReport(lower, chain[e_max], stabilized, q0,
-                            tuple(chain), I.is_m_primary())
+    return StarApproxReport(lower, chain[e_max], tuple(chain), I.is_m_primary())

@@ -94,7 +94,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("statement, message", [
         ("C = colon(A,,B);", "empty argument in 'A,,B'"),
         ("ideal Z = x,, y;", "bad ideal 'Z': empty argument in 'x,, y'"),
-    ], ids=["function", "ideal"])
+        ("assert member(x+, A);", "bad polynomial 'x+': expected a term (at position 2)"),
+    ], ids=["function", "ideal", "polynomial"])
     def test_exit_two_on_empty_argument(self, tmp_path, statement, message):
         f = tmp_path / "empty.alg"
         f.write_text("ring R = char 2 vars x, y;\nideal A = x, y;\nideal B = x;\n" + statement)

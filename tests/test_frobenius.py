@@ -1,18 +1,21 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from charp import rings
 from charp.core import MAX_EXPONENT, ExponentOverflow, Polynomial
 from charp.frobenius import (
     QuotientContextUnsupported,
+    _preimage_by_elimination,
     bracket_power,
     frobenius_preimage,
     frobenius_q,
     frobenius_root,
 )
-from charp.groebner import normal_form, standard_monomials
+from charp.groebner import buchberger
 from charp.rings import Ideal, RingContext
 from oracle import random_homogeneous_dict
 
@@ -129,6 +132,38 @@ class TestFrobeniusRoot:
         assert frobenius_root(bracket_power(I, 1), 1) == I
 
 
+@st.composite
+def m_primary_preimages(draw):
+    """(K, e): K is a homogeneous m-primary ideal over F_p, p in {2, 3, 5, 7},
+    of a polynomial ring in 1-3 variables or of fermat2 (whose lift holds
+    the relation), and q = p^e is p or p^2.  K holds pure powers of every
+    variable plus 0-3 forms, or only forms, as many as the variables or
+    one more."""
+    if draw(st.booleans()):
+        ring = RingContext(2, ["x", "y", "z"], "x^3+y^3+z^3")
+    else:
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        ring = RingContext(p, ["x", "y", "z"][:draw(st.integers(1, 3))])
+    nvars, p = ring.poly.nvars, ring.field.p
+
+    def form(lo, hi):
+        degree = draw(st.integers(lo, hi))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(m) == degree]
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                               max_size=len(monos)))
+        return Polynomial(ring.poly, {m: c for m, c in zip(monos, coeffs) if c})
+
+    if draw(st.booleans()):
+        gens = [ring.poly.var(i) ** draw(st.integers(1, 5)) for i in range(nvars)]
+        gens += [form(1, 3) for _ in range(draw(st.integers(0, 3)))]
+    else:
+        gens = [form(1, 3) for _ in range(nvars + draw(st.integers(0, 1)))]
+    K = Ideal(ring, gens)
+    assume(K.is_m_primary() and not K.is_unit())
+    return K, draw(st.integers(1, 2))
+
+
 class TestFrobeniusPreimage:
     def test_defining_property(self, poly2):
         rng = random.Random(7)
@@ -142,13 +177,30 @@ class TestFrobeniusPreimage:
             if K.contains(u ** 2):
                 assert L.contains(u)
 
-    def test_fast_and_slow_paths_agree(self, poly2):
-        from charp.frobenius import (_preimage_by_elimination,
-                                     _preimage_by_linear_algebra)
-        K = poly2.ideal("x^3", "x*y^2", "y^4")
-        fast = Ideal(poly2, _preimage_by_linear_algebra(K.gb, 2, poly2.poly))
-        slow = Ideal(poly2, _preimage_by_elimination(K.gb, 2, poly2.poly))
-        assert fast == slow
+    @settings(max_examples=200, deadline=None)
+    @given(m_primary_preimages())
+    @example((RingContext(2, ["x", "y"]).ideal("x^3", "x*y^2", "y^4"), 1))
+    def test_linear_algebra_matches_elimination(self, case):
+        # the m-primary homogeneous path returns the reduced GB, hands it to
+        # the result, and agrees with the elimination reference
+        K, e = case
+        ring = K.ring.poly
+        L = frobenius_preimage(K, e)
+        runs = []
+        original = rings.buchberger
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return original(*args, **kwargs)
+        with mock.patch.object(rings, "buchberger", spy):
+            gb = L.gb
+        assert runs == []
+        expected = buchberger(list(L.gens), ring=ring)
+        assert [list(g.terms.items()) for g in L.gens] == \
+            [list(g.terms.items()) for g in expected]
+        assert gb == expected
+        q = frobenius_q(K.ring, e)
+        assert gb == buchberger(_preimage_by_elimination(K.gb, q, ring), ring=ring)
 
     def test_non_homogeneous_uses_elimination(self, poly2):
         K = poly2.ideal("x^2+y")

@@ -2,9 +2,9 @@
 byte-identical to the committed files: tests/golden at seed 0 and
 tests/golden/seed1 at seed 1, the suite seed of the ``suites`` benchmark.
 
-Regenerate them with ``python scripts/make_golden.py`` (seed 0) and
-``python scripts/make_golden.py --seed 1 --out tests/golden/seed1``; a rerun
-changes what these tests accept, so record it, and why, in CHANGES.md.
+The seeds and their directories are ``GOLDEN`` in ``scripts/make_golden.py``.
+Regenerate both with ``python scripts/make_golden.py``; a rerun changes what
+these tests accept, so record it, and why, in CHANGES.md.
 """
 
 import importlib.util
@@ -18,8 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
 make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
-
-GOLDEN = {0: ROOT / "tests" / "golden", 1: ROOT / "tests" / "golden" / "seed1"}
+GOLDEN = make_golden.GOLDEN
 
 
 @pytest.mark.parametrize("seed, suite", [
@@ -27,5 +26,5 @@ GOLDEN = {0: ROOT / "tests" / "golden", 1: ROOT / "tests" / "golden" / "seed1"}
     for seed in GOLDEN for suite in SUITE_NAMES
 ])
 def test_report_matches_golden(seed, suite):
-    golden = (GOLDEN[seed] / f"{suite}.json").read_bytes()
+    golden = (Path(GOLDEN[seed]) / f"{suite}.json").read_bytes()
     assert make_golden.golden_text(suite, seed).encode("utf-8") == golden

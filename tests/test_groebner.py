@@ -18,10 +18,8 @@ from charp.core import (
 )
 from charp.groebner import (
     INFINITE,
-    _colon_setup,
-    _narrow_kernel,
-    _normal_form_table,
     _PackedF2,
+    _Quotient,
     buchberger,
     colength,
     divide_exact,
@@ -352,7 +350,9 @@ class TestPackedF2Kernels:
     """``_PackedF2`` computes what the dict kernels compute, degree by degree:
     the same normal-form tables and the same narrowed kernels, vector for
     vector, as both are the unique reduced row echelon basis of the kernel,
-    in ascending order of pivots."""
+    in ascending order of pivots.  The kernels are narrowed by the colon's
+    images u -> (NF(u * b))_b and by the Frobenius preimage's images
+    u -> NF(u^q), q = 2, 4, 8."""
 
     @settings(max_examples=60, deadline=None)
     @given(f2_colons())
@@ -365,29 +365,40 @@ class TestPackedF2Kernels:
     @example(_f2_bracket_case(["x", "y"], ["x^2", "x*y", "y^2"], ["x", "y"], 1))  # top 1
     def test_against_dict_kernels(self, case):
         ring, gens, divisors = case
-        nvars = ring.nvars
         gb = buchberger(gens, ring=ring)
-        divisors = [b for b in divisors if not b.is_zero()]
-        standard, top, by_degree, reducers = _colon_setup(gb, divisors, nvars)
-        packed = _PackedF2(reducers, standard, by_degree, top, nvars)
+        plain, packed = _Quotient(gb, ring), _PackedF2(gb, ring)
+        by_degree = {}
+        for b in divisors:
+            if not b.is_zero() and b.degree() <= plain.top:
+                by_degree.setdefault(b.degree(), []).append(b)
 
         def pack(d, vec):
             assert set(vec.values()) <= {1}
             return sum(1 << packed.index[d][m] for m in vec)
 
+        def narrow_both(kernel, d, image, pimage):
+            narrowed = plain.narrow(kernel, d, image)
+            pkernel = None if kernel is None else [pack(d, v) for v in kernel]
+            pnarrowed = packed.narrow(pkernel, d, pimage)
+            assert [packed.unpack(d, v) for v in pnarrowed] == narrowed
+            return narrowed
+
         kernels = {}
-        for e in range(top + 1):
-            table = _normal_form_table(reducers, set(standard[e]), nvars, e, 2)
+        for e in range(plain.top + 1):
+            table = plain.table(e)
             ptable = packed.table(e)
             assert len(ptable) == len(table)
             assert {m: packed.unpack(e, ptable[packed.key(m)]) for m in table} == table
             for delta in sorted(by_degree):
                 d = e - delta
-                if d not in standard or kernels.get(d) == []:
+                if d < 0 or kernels.get(d) == []:
                     continue
-                kernel = kernels.get(d)
-                narrowed = _narrow_kernel(kernel, standard[d], by_degree[delta], table, 2)
-                pkernel = None if kernel is None else [pack(d, v) for v in kernel]
-                pnarrowed = packed.narrow(pkernel, d, delta, ptable)
-                assert [packed.unpack(d, v) for v in pnarrowed] == narrowed
-                kernels[d] = narrowed
+                divs = by_degree[delta]
+                kernels[d] = narrow_both(
+                    kernels.get(d), d,
+                    plain.colon_image([plain.divisor(b) for b in divs], e, table),
+                    packed.colon_image([packed.divisor(b) for b in divs], e, ptable))
+            for q in (2, 4, 8):
+                if e % q == 0:
+                    narrow_both(None, e // q, plain.preimage_image(q, table),
+                                packed.preimage_image(q, ptable))

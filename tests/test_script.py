@@ -199,6 +199,11 @@ class TestArguments:
             results.append(runner.ideals["T"].gb_strings())
         assert results[0] == results[1] == results[2]
 
+    def test_bad_polynomial_names_the_argument(self):
+        message = r"^bad polynomial 'x\+': expected a term \(at position 2\)$"
+        with pytest.raises(ScriptError, match=message):
+            run_script_text(SETUP + "assert member(x+, A);")
+
     def test_arguments_convert_left_to_right(self):
         with pytest.raises(ScriptError, match="^unknown ideal 'X'$"):
             run_script_text(SETUP + "assert subset(X, Y);")
