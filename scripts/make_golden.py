@@ -1,16 +1,18 @@
 """Write the golden suite reports that ``tests/test_golden.py`` compares.
 
-Runs each of the 13 ``alg verify`` suites with default parameters, drops
-the ``timings`` block and writes ``report_to_json`` of the rest to
-``<out>/<suite>.json``.  ``GOLDEN`` maps each pinned suite seed to its
-directory.  Run from the repository root:
+Runs each of the 13 ``alg verify`` suites with default parameters on a
+built-in ring, drops the ``timings`` block and writes ``report_to_json`` of
+the rest to ``<out>/<suite>.json``.  ``GOLDEN`` maps each pinned
+(ring, suite seed) to its directory.  Run from the repository root:
 
-    python scripts/make_golden.py                  # every pinned seed
-    python scripts/make_golden.py --seed 1         # one pinned seed
-    python scripts/make_golden.py --seed 2 --out DIR
+    python scripts/make_golden.py                          # every pinned pair
+    python scripts/make_golden.py --seed 1                 # one pinned pair
+    python scripts/make_golden.py --ring poly2_3           # one pinned pair
+    python scripts/make_golden.py --ring poly2_2 --seed 2 --out DIR
 
-Regenerating the pinned directories changes what the tests accept; record
-every rerun, and why, in CHANGES.md.
+``--ring`` defaults to fermat2 and ``--seed`` to 0.  Regenerating the pinned
+directories changes what the tests accept; record every rerun, and why, in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -24,42 +26,46 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from charp.suites import SUITE_NAMES, report_to_json, verify_suite  # noqa: E402
 
-# suite seed -> directory of its golden reports; seed 1 is the suite seed
-# of the ``suites`` benchmark
-GOLDEN = {0: os.path.join(ROOT, "tests", "golden"),
-          1: os.path.join(ROOT, "tests", "golden", "seed1")}
+_DIR = os.path.join(ROOT, "tests", "golden")
+
+# (built-in ring, suite seed) -> directory of its golden reports; seed 1 is
+# the suite seed of the ``suites`` benchmark, and on poly2_3 the parameter
+# searches run over every point of P^2(F_2)
+GOLDEN = {("fermat2", 0): _DIR,
+          ("fermat2", 1): os.path.join(_DIR, "seed1"),
+          ("poly2_3", 0): os.path.join(_DIR, "poly2_3")}
 
 
-def golden_text(suite: str, seed: int) -> str:
-    """The suite's report at ``seed`` as JSON, without its timings."""
-    report = verify_suite(suite, {"seed": seed})
+def golden_text(suite: str, seed: int, ring: str = "fermat2") -> str:
+    """The suite's report on ``ring`` at ``seed`` as JSON, without its timings."""
+    report = verify_suite(suite, {"seed": seed, "ring": ring})
     report.pop("timings")
     return report_to_json(report)
 
 
-def write_reports(seed: int, out: str):
+def write_reports(ring: str, seed: int, out: str):
     os.makedirs(out, exist_ok=True)
     for suite in SUITE_NAMES:
         with open(os.path.join(out, f"{suite}.json"), "w", encoding="utf-8") as fh:
-            fh.write(golden_text(suite, seed))
+            fh.write(golden_text(suite, seed, ring))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int,
-                        help="write only this seed (default: every pinned seed)")
-    parser.add_argument("--out", help="directory to write to (default: the seed's pinned one)")
+    parser.add_argument("--ring", help="built-in ring (default: fermat2)")
+    parser.add_argument("--seed", type=int, help="suite seed (default: 0)")
+    parser.add_argument("--out", help="directory to write to (default: the pair's pinned one)")
     args = parser.parse_args(argv)
-    if args.seed is None and args.out is None:
+    if args.ring is None and args.seed is None and args.out is None:
         targets = GOLDEN
     else:
-        seed = 0 if args.seed is None else args.seed
-        out = args.out or GOLDEN.get(seed)
+        key = (args.ring or "fermat2", 0 if args.seed is None else args.seed)
+        out = args.out or GOLDEN.get(key)
         if out is None:
-            parser.error(f"seed {seed} has no pinned directory; give --out")
-        targets = {seed: out}
-    for seed, out in targets.items():
-        write_reports(seed, out)
+            parser.error(f"ring {key[0]} at seed {key[1]} has no pinned directory; give --out")
+        targets = {key: out}
+    for (ring, seed), out in targets.items():
+        write_reports(ring, seed, out)
     return 0
 
 

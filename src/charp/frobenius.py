@@ -16,7 +16,12 @@ an elimination of the substitution ideal K + (y_i - x_i^q).
 from __future__ import annotations
 
 from .core import AlgebraError, ExponentOverflow, PolyRing, Polynomial, mono_pow
-from .groebner import INFINITE, eliminate, preimage_by_linear_algebra, remap_polynomial
+from .groebner import (
+    eliminate,
+    preimage_by_linear_algebra,
+    remap_polynomial,
+    zero_dimensional_quotient,
+)
 from .rings import Ideal, RingContext
 
 MAX_E = 10
@@ -112,9 +117,9 @@ def frobenius_preimage(K: Ideal, e: int) -> Ideal:
     gb = K.gb
     if K.is_unit():
         return Ideal(K.ring, [ring.one()])
-    homogeneous = all(g.is_homogeneous() for g in gb)
-    if homogeneous and K.colength() is not INFINITE:
-        gens = preimage_by_linear_algebra(gb, q, ring)
+    quotient = zero_dimensional_quotient(gb, ring)
+    if quotient is not None:
+        gens = preimage_by_linear_algebra(quotient, q)
         L = Ideal(K.ring, gens)
         # the preimage contains K, hence the relation, so this is already
         # the lift's reduced GB

@@ -362,6 +362,11 @@ def standard_monomials(gb, nvars: int):
     staircase = _staircase(gb, nvars)
     if staircase is None:
         raise AlgebraError("infinite colength: no pure power for some variable")
+    return _staircase_monomials(staircase)
+
+
+def _staircase_monomials(staircase) -> list:
+    """The standard monomials under a ``_staircase``, sorted ascending."""
     axis, columns = staircase
     if axis is None:
         return [()]
@@ -475,16 +480,16 @@ class _Quotient:
     GB.  A subspace V of span(standard monomials) with A + V an ideal is
     kept as one kernel basis per degree; ``basis`` reads the reduced GB of
     A + V off them.  Rows are {standard monomial: coefficient} dicts here;
-    ``_PackedF2`` packs them into ints over F_2.
+    ``_PackedF2`` packs them into ints over F_2.  ``monomials`` lists the
+    standard monomials of A; ``zero_dimensional_quotient`` builds one.
     """
 
-    def __init__(self, gb, ring: PolyRing):
+    def __init__(self, gb, ring: PolyRing, monomials):
         self.ring = ring
         self.p = ring.field.p
         self.nvars = ring.nvars
         self.standard: dict = {}
-        for m in sorted(standard_monomials(gb, self.nvars), key=GREVLEX.descending_key,
-                        reverse=True):
+        for m in sorted(monomials, key=GREVLEX.descending_key, reverse=True):
             self.standard.setdefault(sum(m), []).append(m)
         self.top = max(self.standard, default=-1)
         self.reducers = []
@@ -577,8 +582,8 @@ class _PackedF2(_Quotient):
     over F_2 is 1, so the term lists reduce to their keys.
     """
 
-    def __init__(self, gb, ring: PolyRing):
-        super().__init__(gb, ring)
+    def __init__(self, gb, ring: PolyRing, monomials):
+        super().__init__(gb, ring, monomials)
         self.weights = [(self.top + 1) ** i for i in range(self.nvars)]
         self.index = {d: {m: i for i, m in enumerate(ms)} for d, ms in self.standard.items()}
         self.ukeys = {d: [self.key(u) for u in ms] for d, ms in self.standard.items()}
@@ -671,15 +676,32 @@ class _PackedF2(_Quotient):
         return {monomials[i]: 1 for i in _bits(vec)}
 
 
-def _quotient(gb, ring: PolyRing) -> _Quotient:
-    return _PackedF2(gb, ring) if ring.field.p == 2 else _Quotient(gb, ring)
+def zero_dimensional_quotient(gb, ring: PolyRing):
+    """S/A for the reduced grevlex GB ``gb`` of A, the ``_Quotient`` that
+    ``colon_by_linear_algebra`` and ``preimage_by_linear_algebra`` run on,
+    or None unless A is homogeneous of finite colength.
+
+    The staircase of A is walked once, here: the test for finite colength
+    and the standard monomials of the quotient share it.
+    """
+    if not all(g.is_homogeneous() for g in gb):
+        return None
+    if any(g.is_constant() and not g.is_zero() for g in gb):
+        monomials = []
+    else:
+        staircase = _staircase(gb, ring.nvars)
+        if staircase is None:
+            return None
+        monomials = _staircase_monomials(staircase)
+    return (_PackedF2 if ring.field.p == 2 else _Quotient)(gb, ring, monomials)
 
 
-def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
-    """Reduced grevlex GB of (gb) : (divisors), the list ``buchberger`` returns.
+def colon_by_linear_algebra(quotient: _Quotient, divisors):
+    """Reduced grevlex GB of A : (divisors), the list ``buchberger`` returns.
 
-    ``gb`` is the reduced grevlex GB of a homogeneous ideal A of finite
-    colength and ``divisors`` are homogeneous; zero divisors are ignored.
+    ``quotient`` is S/A from ``zero_dimensional_quotient``, for a
+    homogeneous ideal A of finite colength, and ``divisors`` are
+    homogeneous; zero divisors are ignored.
     Then A : B = A + V with V spanned by standard monomials of A, and each
     degree d of V is the kernel of u -> (NF(u * b))_b over the standard
     monomials u of degree d, one nullspace per divisor degree.  A divisor
@@ -693,8 +715,7 @@ def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
     """
     divisors = [b for b in divisors if not b.is_zero()]
     if not divisors:
-        return [ring.one()]
-    quotient = _quotient(gb, ring)
+        return [quotient.ring.one()]
     by_degree: dict = {}
     for b in divisors:
         if b.degree() <= quotient.top:
@@ -712,17 +733,17 @@ def colon_by_linear_algebra(gb, divisors, ring: PolyRing):
     return quotient.basis(kernels)
 
 
-def preimage_by_linear_algebra(gb, q: int, ring: PolyRing):
-    """Reduced grevlex GB of {u : u^q in (gb)}, the list ``buchberger`` returns.
+def preimage_by_linear_algebra(quotient: _Quotient, q: int):
+    """Reduced grevlex GB of {u : u^q in K}, the list ``buchberger`` returns.
 
-    ``gb`` is the reduced grevlex GB of a homogeneous ideal K of finite
-    colength.  As u - NF(u) lies in K and Frobenius is additive, the
-    preimage is K + V, where each degree d of V is the kernel of
-    u -> NF(u^q) over the standard monomials u of degree d; a degree above
-    top / q lies wholly in the preimage.  The kernels and the basis are
-    those of ``colon_by_linear_algebra``, with the image of u changed.
+    ``quotient`` is S/K from ``zero_dimensional_quotient``, for a
+    homogeneous ideal K of finite colength.  As u - NF(u) lies in K and
+    Frobenius is additive, the preimage is K + V, where each degree d of V
+    is the kernel of u -> NF(u^q) over the standard monomials u of degree
+    d; a degree above top / q lies wholly in the preimage.  The kernels and
+    the basis are those of ``colon_by_linear_algebra``, with the image of u
+    changed.
     """
-    quotient = _quotient(gb, ring)
     kernels = {}
     for d in range(quotient.top // q + 1):
         table = quotient.table(q * d)

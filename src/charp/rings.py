@@ -5,10 +5,22 @@ A RingContext models either a polynomial ring S = F_p[vars] or a graded
 hypersurface quotient R = S/(f) with f homogeneous.  Every ideal computation
 runs on the lift (generators + f) in S; two ideals of R are equal iff their
 lifted reduced Groebner bases coincide.
+
+The parameter searches reject some random candidates without a Groebner
+basis.  When the target height is dim R, a candidate whose elements are
+homogeneous and vanish, together with the homogeneous lift they join, at a
+point v of P^{n-1}(F_p) cannot reach it: the whole line through v lies in
+the variety of the lift, so dim S/lift >= 1 and ht_R <= dim R - 1.  The
+height check would reject exactly such a candidate too, and every random
+draw happens before the certificate, so the searches return the same
+ideals and leave the rng in the same state either way.  The rational
+points are listed only while P^{n-1}(F_p) is small (``_MAX_POINTS``); on
+larger ones every candidate goes to the height check.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .core import (
@@ -30,6 +42,7 @@ from .groebner import (
     krull_dimension,
     normal_form,
     remap_polynomial,
+    zero_dimensional_quotient,
 )
 
 
@@ -130,6 +143,7 @@ class RingContext:
             self.reduced = g.is_constant()
         self.relation = relation
         self._test_ideal = None  # written only by singularity.test_ideal
+        self._relation_zeros = None  # written only by _rational_zeros
 
     @property
     def variables(self):
@@ -321,10 +335,11 @@ class Ideal:
         self._same_ring(other)
         ring = self.ring.poly
         divisors = list(other.gens)
-        if (divisors and all(b.is_homogeneous() for b in divisors)
-                and all(g.is_homogeneous() for g in self.gb)
-                and _gb_colength(self.gb, ring.nvars) is not INFINITE):
-            gens = colon_by_linear_algebra(self.gb, divisors, ring)
+        quotient = None
+        if divisors and all(b.is_homogeneous() for b in divisors):
+            quotient = zero_dimensional_quotient(self.gb, ring)
+        if quotient is not None:
+            gens = colon_by_linear_algebra(quotient, divisors)
         else:
             gens = _colon_gens(self.lift_gens(), divisors, ring)
         colon = Ideal(self.ring, gens)
@@ -341,7 +356,6 @@ class Ideal:
 # Randomized search: parameter ideals and m-primary extensions.
 
 def _random_homogeneous(ring: PolyRing, degree: int, rng: random.Random) -> Polynomial:
-    import itertools
     p = ring.field.p
     terms = []
     for exps in itertools.product(range(degree + 1), repeat=ring.nvars):
@@ -373,6 +387,59 @@ def _random_element_of(I: Ideal, bump: int, rng: random.Random) -> Polynomial:
     return out
 
 
+# Listing P^{n-1}(F_p) costs one evaluation per point, and testing a
+# candidate one per rational zero, while a random candidate shares a given
+# zero with probability p^-g: the certificate pays only on small fields.
+# On the parameter searches it gains at p = 2, is even at p = 3 to 7 in
+# three variables, and costs ``case1`` on F_11[x,y,z] (133 points) about
+# 20 %.  Unbounded, listing P^2(F_1009) kept ``case1`` running past a
+# minute, against 0.03 s without the certificate.
+_MAX_POINTS = 64
+
+
+def _value(f: Polynomial, zero, p: int) -> int:
+    """f at ``zero``, a pair (point, memo of monomial values at the point)."""
+    point, memo = zero
+    total = 0
+    for m, c in f.terms.items():
+        v = memo.get(m)
+        if v is None:
+            v = 1
+            for x, e in zip(point, m):
+                v = v * pow(x, e, p) % p
+            memo[m] = v
+        total += c * v
+    return total % p
+
+
+def _rational_zeros(gens, ring: RingContext) -> list:
+    """The points of P^{n-1}(F_p) at which the relation and the homogeneous
+    ``gens`` all vanish; [] when P^{n-1}(F_p) has more than ``_MAX_POINTS``
+    points, which leaves every rejection to the height check.
+
+    Each point is listed once, scaled so that its first nonzero coordinate
+    is 1, as a pair (point, memo) that ``_value`` reads and fills.  The
+    zeros of the relation alone are listed once per ring and kept on it.
+    """
+    n, p = ring.poly.nvars, ring.field.p
+    if ring._relation_zeros is None:
+        zeros = []
+        if (p ** n - 1) // (p - 1) <= _MAX_POINTS:
+            relation = ring.zero_ideal().lift_gens()
+            for lead in range(n):
+                for rest in itertools.product(range(p), repeat=n - lead - 1):
+                    zero = ((0,) * lead + (1,) + rest, {})
+                    if all(_value(f, zero, p) == 0 for f in relation):
+                        zeros.append(zero)
+        ring._relation_zeros = zeros
+    return [z for z in ring._relation_zeros if all(_value(g, z, p) == 0 for g in gens)]
+
+
+def _share_a_zero(elems, zeros, p: int) -> bool:
+    """True when the homogeneous ``elems`` all vanish at one of ``zeros``."""
+    return any(all(_value(e, z, p) == 0 for e in elems) for z in zeros)
+
+
 def find_parameter_ideal(I: Ideal, rng: random.Random, max_tries: int = 60,
                          height: int | None = None,
                          min_bump: int = 0) -> Ideal:
@@ -383,12 +450,19 @@ def find_parameter_ideal(I: Ideal, rng: random.Random, max_tries: int = 60,
     projective dimension.  Degree bumps escalate 0 -> 1 -> 2 when plain
     F_p-combinations are degenerate (common over F_2); ``min_bump`` raises
     the floor, which callers use to avoid sampling I itself.
+
+    When g = dim R, homogeneous candidates that vanish with the relation at
+    an F_p-rational point are rejected without a Groebner basis: the line
+    through that point lies in the variety of their lift, so their height
+    is below g (module docstring).
     """
     if I.is_unit() or I.is_zero():
         raise ParameterSearchFailed("need a proper nonzero ideal")
     g = height if height is not None else I.height()
     if g < 1:
         raise ParameterSearchFailed("height must be >= 1")
+    p = I.ring.field.p
+    zeros = _rational_zeros([], I.ring) if g == I.ring.dim else []
     for trial in range(max_tries):
         bump = min(trial * 3 // max_tries, 2) if max_tries >= 3 else 0
         bump = max(bump, min_bump)
@@ -401,6 +475,9 @@ def find_parameter_ideal(I: Ideal, rng: random.Random, max_tries: int = 60,
                 break
             elems.append(e)
         if not ok:
+            continue
+        if zeros and all(e.is_homogeneous() for e in elems) \
+                and _share_a_zero(elems, zeros, p):
             continue
         cand = Ideal(I.ring, elems)
         # no minimality check: by Krull's height theorem an ideal with fewer
@@ -421,18 +498,27 @@ def extend_to_m_primary(b: Ideal, rng: random.Random, max_tries: int = 80):
 
     Greedy randomized height raising; deterministic under the caller's rng.
     Returns [] when b is already m-primary.
+
+    On the step to height dim R, with a homogeneous lift of the current
+    ideal, a form that vanishes at an F_p-rational zero of that lift is
+    rejected without a Groebner basis: the line through the zero lies in the
+    variety of the new lift, so the height does not rise (module docstring).
     """
     d = b.ring.dim
     g = b.height()
+    p = b.ring.field.p
     extras: list[Polynomial] = []
     current = b
     while g + len(extras) < d:
+        zeros = []
+        if g + len(extras) + 1 == d and all(h.is_homogeneous() for h in current.gens):
+            zeros = _rational_zeros(current.gens, b.ring)
         for trial in range(max_tries):
             # escalate degree: low-degree forms can all vanish on the
             # (many) curve components of a composite starting ideal
             degree = 1 + min(trial // max(1, max_tries // 5), 4)
             x = _random_homogeneous(b.ring.poly, degree, rng)
-            if x.is_zero():
+            if x.is_zero() or _share_a_zero([x], zeros, p):
                 continue
             cand = current + Ideal(b.ring, [x])
             try:

@@ -186,6 +186,21 @@ class TestParseFormat:
                 R5.parse(bad)
 
 
+class TestParserErrorContract:
+    """Arbitrary text either parses, and then round-trips through
+    ``format_polynomial``, or raises an ``AlgebraError``; nothing else escapes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(max_size=30),
+                     st.text(alphabet="xyzw0123456789+-*^ ()._\t", max_size=30)))
+    def test_only_algebra_errors_escape(self, text):
+        try:
+            f = parse_polynomial(text, R5)
+        except AlgebraError:
+            return
+        assert parse_polynomial(format_polynomial(f), R5) == f
+
+
 class TestPolyRing:
     def test_ring_mismatch(self):
         from charp.core import RingMismatch

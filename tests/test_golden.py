@@ -1,10 +1,12 @@
 """The 13 suite reports with default parameters, timings dropped, are
-byte-identical to the committed files: tests/golden at seed 0 and
-tests/golden/seed1 at seed 1, the suite seed of the ``suites`` benchmark.
+byte-identical to the committed files: on fermat2, tests/golden at seed 0
+and tests/golden/seed1 at seed 1, the suite seed of the ``suites``
+benchmark; on poly2_3, tests/golden/poly2_3 at seed 0.
 
-The seeds and their directories are ``GOLDEN`` in ``scripts/make_golden.py``.
-Regenerate both with ``python scripts/make_golden.py``; a rerun changes what
-these tests accept, so record it, and why, in CHANGES.md.
+The (ring, seed) pairs and their directories are ``GOLDEN`` in
+``scripts/make_golden.py``.  Regenerate them all with
+``python scripts/make_golden.py``; a rerun changes what these tests accept,
+so record it, and why, in CHANGES.md.
 """
 
 import importlib.util
@@ -21,10 +23,16 @@ _spec.loader.exec_module(make_golden)
 GOLDEN = make_golden.GOLDEN
 
 
-@pytest.mark.parametrize("seed, suite", [
-    pytest.param(seed, suite, id=suite if seed == 0 else f"seed{seed}-{suite}")
-    for seed in GOLDEN for suite in SUITE_NAMES
+def _test_id(ring: str, seed: int, suite: str) -> str:
+    prefix = [] if ring == "fermat2" else [ring]
+    prefix += [f"seed{seed}"] if seed else []
+    return "-".join(prefix + [suite])
+
+
+@pytest.mark.parametrize("ring, seed, suite", [
+    pytest.param(ring, seed, suite, id=_test_id(ring, seed, suite))
+    for ring, seed in GOLDEN for suite in SUITE_NAMES
 ])
-def test_report_matches_golden(seed, suite):
-    golden = (Path(GOLDEN[seed]) / f"{suite}.json").read_bytes()
-    assert make_golden.golden_text(suite, seed).encode("utf-8") == golden
+def test_report_matches_golden(ring, seed, suite):
+    golden = (Path(GOLDEN[ring, seed]) / f"{suite}.json").read_bytes()
+    assert make_golden.golden_text(suite, seed, ring).encode("utf-8") == golden

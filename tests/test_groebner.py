@@ -366,7 +366,8 @@ class TestPackedF2Kernels:
     def test_against_dict_kernels(self, case):
         ring, gens, divisors = case
         gb = buchberger(gens, ring=ring)
-        plain, packed = _Quotient(gb, ring), _PackedF2(gb, ring)
+        monomials = standard_monomials(gb, ring.nvars)
+        plain, packed = _Quotient(gb, ring, monomials), _PackedF2(gb, ring, monomials)
         by_degree = {}
         for b in divisors:
             if not b.is_zero() and b.degree() <= plain.top:

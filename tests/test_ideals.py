@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -257,6 +258,202 @@ class TestParameterSearchWithoutMinimalityCheck:
             assert rng.getstate() == ref_rng.getstate()
 
 
+def reference_find_parameter_ideal_by_height(I, rng, max_tries=60, height=None, min_bump=0):
+    """The parameter search that certifies every candidate by its Groebner
+    basis and height, as it was before the rational-zero certificate."""
+    if I.is_unit() or I.is_zero():
+        raise ParameterSearchFailed("need a proper nonzero ideal")
+    g = height if height is not None else I.height()
+    if g < 1:
+        raise ParameterSearchFailed("height must be >= 1")
+    for trial in range(max_tries):
+        bump = min(trial * 3 // max_tries, 2) if max_tries >= 3 else 0
+        bump = max(bump, min_bump)
+        elems = []
+        ok = True
+        for _ in range(g):
+            e = rings._random_element_of(I, bump, rng)
+            if e.is_zero():
+                ok = False
+                break
+            elems.append(e)
+        if not ok:
+            continue
+        cand = Ideal(I.ring, elems)
+        try:
+            if cand.is_unit() or cand.height() != g:
+                continue
+        except UnitIdeal:
+            continue
+        return cand
+    raise ParameterSearchFailed("exhausted")
+
+
+def reference_extend_to_m_primary(b, rng, max_tries=80):
+    """``extend_to_m_primary`` with every candidate certified by its height,
+    as it was before the rational-zero certificate."""
+    d = b.ring.dim
+    g = b.height()
+    extras = []
+    current = b
+    while g + len(extras) < d:
+        for trial in range(max_tries):
+            degree = 1 + min(trial // max(1, max_tries // 5), 4)
+            x = rings._random_homogeneous(b.ring.poly, degree, rng)
+            if x.is_zero():
+                continue
+            cand = current + Ideal(b.ring, [x])
+            try:
+                if cand.is_unit():
+                    continue
+                if cand.height() == current.height() + 1:
+                    extras.append(x)
+                    current = cand
+                    break
+            except UnitIdeal:
+                continue
+        else:
+            raise ParameterSearchFailed("could not raise height to m-primary")
+    if not current.is_m_primary():
+        raise ParameterSearchFailed("extension is not m-primary")
+    return extras
+
+
+# (p, variables, relation): every P^{n-1}(F_p) here has at most 31 points,
+# so the certificate lists all of its rational zeros
+CERTIFIED_RINGS = {
+    "fermat2": (2, "xyz", "x^3+y^3+z^3"),
+    "poly2_3": (2, "xyz", None),
+    "quartic3": (3, "xyz", "x^4+y^4+z^4"),
+    "fermat5": (5, "xyz", "x^3+y^3+z^3"),
+    "cubic3fold2": (2, "xyzw", "x^3+y^3+z^3+w^3"),
+}
+
+
+def _certified_ring(name):
+    p, variables, relation = CERTIFIED_RINGS[name]
+    return RingContext(p, list(variables), relation)
+
+
+def _outcome(search, rng):
+    try:
+        return search(rng)
+    except ParameterSearchFailed:
+        return "failed"
+
+
+class TestRationalZeroCertificate:
+    """Candidates that share an F_p-rational zero with the relation are
+    rejected before their Groebner basis, and only those the height check
+    rejects too."""
+
+    @pytest.mark.parametrize("name, count", [
+        ("fermat2", 3), ("poly2_3", 7), ("quartic3", 4), ("fermat5", 6), ("cubic3fold2", 7)])
+    def test_zeros_of_the_relation(self, name, count):
+        ring = _certified_ring(name)
+        zeros = rings._rational_zeros([], ring)
+        assert len(zeros) == count
+        for point, _ in zeros:
+            assert point[next(i for i, c in enumerate(point) if c)] == 1
+            if ring.relation is not None:
+                assert sum(c * math.prod(x ** e for x, e in zip(point, m))
+                           for m, c in ring.relation.terms.items()) % ring.field.p == 0
+
+    def test_no_listing_above_the_point_bound(self):
+        # P^2(F_65521) has about 4.3e9 points; listing them would never end
+        assert rings._rational_zeros([], RingContext(65521, ["x", "y", "z"])) == []
+        ring = RingContext(11, ["x", "y", "z"])  # 133 points
+        assert rings._rational_zeros([], ring) == []
+        rng, ref_rng = random.Random(3), random.Random(3)
+        a = find_parameter_ideal(ring.maximal_ideal(), rng)
+        assert a.gens == reference_find_parameter_ideal_by_height(ring.maximal_ideal(),
+                                                                  ref_rng).gens
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(CERTIFIED_RINGS)), st.data())
+    def test_rejection_is_sound(self, name, data):
+        ring = _certified_ring(name)
+        p, n = ring.field.p, ring.poly.nvars
+
+        def form():
+            degree = data.draw(st.integers(1, 3))
+            monos = [m for m in itertools.product(range(degree + 1), repeat=n)
+                     if sum(m) == degree]
+            coefficients = data.draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                                              max_size=len(monos)))
+            return Polynomial(ring.poly, {m: c for m, c in zip(monos, coefficients) if c})
+
+        elems = [form() for _ in range(ring.dim)]
+        assume(not any(e.is_zero() for e in elems))
+        # the test of find_parameter_ideal and that of extend_to_m_primary's
+        # last step say the same thing: the lift has a rational zero
+        shared = rings._share_a_zero(elems, rings._rational_zeros([], ring), p)
+        assert shared == rings._share_a_zero(
+            elems[-1:], rings._rational_zeros(elems[:-1], ring), p)
+        if shared:
+            assert Ideal(ring, elems).height() < ring.dim
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_RINGS))
+    def test_same_searches_as_reference(self, name):
+        ring = _certified_ring(name)
+        m = ring.maximal_ideal()
+        squares = ring.ideal(*[f"{v}^2" for v in ring.variables])
+        x = ring.ideal("x")
+
+        def searches(find, extend):
+            def run(rng):
+                out = [find(I, rng).gens for I in (m, squares)]
+                b = find(x, rng, height=1)
+                out += [b.gens, tuple(extend(b, rng))]
+                # every candidate inside (x) has height 1, so this search
+                # exhausts its tries
+                return out + [_outcome(lambda r: find(x, r, max_tries=5, height=ring.dim), rng)]
+            return run
+
+        for seed in range(20):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = _outcome(searches(find_parameter_ideal, extend_to_m_primary), rng)
+            expected = _outcome(searches(reference_find_parameter_ideal_by_height,
+                                         reference_extend_to_m_primary), ref_rng)
+            assert got == expected
+            assert got[-1] == "failed"
+            assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.fixture
+    def buchberger_runs(self, monkeypatch):
+        runs = []
+        original = rings.buchberger
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(rings, "buchberger", spy)
+        return runs
+
+    def test_shared_zero_starts_no_buchberger_in_parameter_search(self, buchberger_runs):
+        # every element of (x+y, z) vanishes at [1:1:0], a point of x^3+y^3+z^3
+        ring = _certified_ring("fermat2")
+        I = ring.ideal("x+y", "z")
+        I.gb
+        buchberger_runs.clear()
+        with pytest.raises(ParameterSearchFailed):
+            find_parameter_ideal(I, random.Random(0), max_tries=5, height=ring.dim)
+        assert buchberger_runs == []
+
+    def test_shared_zero_starts_no_buchberger_in_extension(self, buchberger_runs,
+                                                           monkeypatch):
+        # z vanishes at [1:1:0], the one rational zero of the lift of (x+y)
+        ring = _certified_ring("fermat2")
+        b = ring.ideal("x+y")
+        b.height()
+        buchberger_runs.clear()
+        monkeypatch.setattr(rings, "_random_homogeneous",
+                            lambda poly, degree, rng: poly.parse("z"))
+        with pytest.raises(ParameterSearchFailed):
+            extend_to_m_primary(b, random.Random(0), max_tries=5)
+        assert buchberger_runs == []
+
+
 class TestColonReusesItsBasis:
     """``Ideal.colon`` hands its reduced GB to the result, on both paths."""
 
@@ -355,7 +552,8 @@ def _cube_colon(p):
 
 
 def _both_colons(ring, gens, divisors):
-    fast = colon_by_linear_algebra(buchberger(gens, ring=ring), divisors, ring)
+    quotient = groebner.zero_dimensional_quotient(buchberger(gens, ring=ring), ring)
+    fast = colon_by_linear_algebra(quotient, divisors)
     slow = rings._colon_gens(gens, divisors, ring)
     return fast, slow
 
@@ -390,7 +588,8 @@ class TestColonByLinearAlgebra:
 
         with mock.patch.object(groebner, "_narrow_kernel", spy_dict), \
                 mock.patch.object(groebner._PackedF2, "narrow", spy_packed):
-            colon_by_linear_algebra(buchberger(gens, ring=ring), divisors, ring)
+            colon_by_linear_algebra(
+                groebner.zero_dimensional_quotient(buchberger(gens, ring=ring), ring), divisors)
         for kernel in kernels:
             pivots = [max(v, key=GREVLEX.key) for v in kernel]
             keys = [GREVLEX.key(m) for m in pivots]

@@ -2,8 +2,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charp import script
+from charp.core import AlgebraError
 from charp.script import ScriptError, ScriptRunner, run_script, run_script_text
 
 EXAMPLE_SCRIPT = """
@@ -207,6 +209,81 @@ class TestArguments:
     def test_arguments_convert_left_to_right(self):
         with pytest.raises(ScriptError, match="^unknown ideal 'X'$"):
             run_script_text(SETUP + "assert subset(X, Y);")
+
+
+# Pieces of random scripts: small characteristics, valid or not, three
+# variables and low degrees, so that every statement stays cheap.
+_NAMES = ["A", "B", "C", "X", "1A", ""]
+_GOOD_POLYS = ["x", "y", "z", "x^2+y^2", "x*y", "x^3+y*z^2", "x+y+z", "1", "0", "x^2-2*y*z"]
+_POLYS = _GOOD_POLYS + ["x+", "w", "x^99999999999999999999", "(x)", ""]
+_INTEGERS = ["0", "1", "2", "4", "-1", "2.5", "q"]
+_PIECES = {script.IDEAL: ["A", "B", "C"], script.INTEGER: ["0", "1"],
+           script.POWER: ["1", "2", "3"], script.POLY: _GOOD_POLYS}
+
+
+@st.composite
+def statement_soups(draw):
+    """A ';'-joined script: usually a valid ring and three ideals, then
+    statements that are mostly well-formed calls of ``_OPERATIONS`` and
+    otherwise drawn from valid and invalid pieces or raw text."""
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+
+    def well_formed(kind):
+        name = pick(sorted(script._OPERATIONS[kind]))
+        kinds, defaults, _ = script._OPERATIONS[kind][name]
+        count = len(kinds) - draw(st.integers(0, len(defaults)))
+        return name, ",".join(pick(_PIECES[k]) for k in kinds[:count])
+
+    def random_call(kind):
+        if draw(st.integers(0, 3)):
+            return well_formed(kind)
+        names = sorted({n for entries in script._OPERATIONS.values() for n in entries})
+        pieces = _NAMES + _POLYS + _INTEGERS
+        return pick(names + ["nope"]), ",".join(
+            pick(pieces) for _ in range(draw(st.integers(0, 3))))
+
+    def ring(valid):
+        if valid:
+            return "ring R = char %s" % pick(["2 vars x, y, z", "2 vars x, y, z mod x^3+y^3+z^3",
+                                              "3 vars x, y, z", "3 vars x, y, z mod x*y-z^2"])
+        mod = pick([None, "x^3+y^3+z^3", "x^2", "x+1", "3", "x^2+y^2", "x+"])
+        return "ring R = char %s vars %s%s" % (
+            pick(["2", "3", "4", "0", "65537"]), pick(["x, y, z", "x, y", "x,x", "x,, y"]),
+            "" if mod is None else " mod " + mod)
+
+    def statement():
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            return "ideal %s = %s" % (pick(_NAMES), ", ".join(
+                pick(_POLYS) for _ in range(draw(st.integers(1, 3)))))
+        if kind in (1, 2, 3):
+            return "%s = %s(%s)" % ((pick(["A", "B", "C"]),) + random_call("function"))
+        if kind in (4, 5):
+            return "assert %s%s(%s)" % ((pick(["", "!"]),) + random_call("assertion"))
+        if kind in (6, 7):
+            return "print %s(%s)" % random_call("print target")
+        if kind == 8:
+            return ring(False)
+        return draw(st.text(max_size=12))
+
+    head = [ring(draw(st.integers(0, 4)) > 0)]
+    head += [f"ideal {name} = {pick(_GOOD_POLYS)}, {pick(_GOOD_POLYS)}" for name in "ABC"]
+    body = [statement() for _ in range(draw(st.integers(0, 6)))]
+    return ";\n".join(head + body) + ";"
+
+
+class TestScriptErrorContract:
+    """A random statement soup runs to a report or raises an
+    ``AlgebraError`` (exit code 2); nothing else escapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(statement_soups(), st.integers(0, 3))
+    def test_only_algebra_errors_escape(self, text, seed):
+        try:
+            report = run_script_text(text, seed=seed)
+        except AlgebraError:
+            return
+        assert {c["status"] for c in report["checks"]} <= {"pass", "fail"}
 
 
 def grammar_operations(block: str) -> dict:
