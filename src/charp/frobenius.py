@@ -6,23 +6,19 @@ frobenius_preimage computes the largest ideal L with L^[q] inside K, i.e.
 {u : u^q in K}.  Root and preimage differ in general: (x^3) at p = 2 has
 root (x) but preimage (x^2).
 
-For a homogeneous lift of finite colength the preimage runs on the colon's
-zero-dimensional engine (``groebner.preimage_by_linear_algebra``): it is
-K plus, in each degree, the kernel of u -> NF(u^q) over K's standard
-monomials, and its generators are its reduced GB.  Every other preimage is
-an elimination of the substitution ideal K + (y_i - x_i^q).
+For a homogeneous lift of finite colength the preimage is the colon's
+linear-algebra kernel {u : u^q * B in K} with B = (1)
+(``groebner.frobenius_colon``, through ``rings.twisted_colon``): K plus, in
+each degree, the kernel of u -> NF(u^q) over K's standard monomials, with
+its reduced GB as generators.  Every other preimage is an elimination of
+the substitution ideal K + (y_i - x_i^q).
 """
 
 from __future__ import annotations
 
 from .core import AlgebraError, ExponentOverflow, PolyRing, Polynomial, mono_pow
-from .groebner import (
-    eliminate,
-    preimage_by_linear_algebra,
-    remap_polynomial,
-    zero_dimensional_quotient,
-)
-from .rings import Ideal, RingContext
+from .groebner import eliminate, remap_polynomial
+from .rings import Ideal, RingContext, twisted_colon
 
 MAX_E = 10
 
@@ -105,7 +101,7 @@ def frobenius_preimage(K: Ideal, e: int) -> Ideal:
 
     Computed on the lift in S (the lift contains the relation, so the
     quotient case reduces to the polynomial one).  When the lift is
-    homogeneous of finite colength the colon's linear-algebra engine
+    homogeneous of finite colength the colon's linear-algebra kernel
     returns the reduced GB of the preimage, which becomes both its
     generators and its basis; otherwise the substitution ideal is
     eliminated.
@@ -114,15 +110,7 @@ def frobenius_preimage(K: Ideal, e: int) -> Ideal:
     if q == 1:
         return K
     ring = K.ring.poly
-    gb = K.gb
-    if K.is_unit():
-        return Ideal(K.ring, [ring.one()])
-    quotient = zero_dimensional_quotient(gb, ring)
-    if quotient is not None:
-        gens = preimage_by_linear_algebra(quotient, q)
-        L = Ideal(K.ring, gens)
-        # the preimage contains K, hence the relation, so this is already
-        # the lift's reduced GB
-        L._gb = gens
-        return L
-    return Ideal(K.ring, _preimage_by_elimination(gb, q, ring))
+    L = twisted_colon(K, [ring.one()], q)
+    if L is None:
+        L = Ideal(K.ring, _preimage_by_elimination(K.gb, q, ring))
+    return L

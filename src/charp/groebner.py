@@ -13,22 +13,25 @@ pure-power bound, the standard monomials over each point of the remaining
 box form one column, whose height the leads give directly, so the count
 walks the staircase's base instead of testing every point of the box.
 
-``colon_by_linear_algebra`` computes A : B for a homogeneous A of finite
-colength and homogeneous B (``Ideal.colon`` sends exactly those colons
-here; all others are eliminations): S/A is a finite F_p-vector space, so
-the colon is a nullspace over A's standard monomials, degree by degree,
-in the spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16,
-1993) and Marinari, Moeller & Mora (AAECC 4, 1993).
-``preimage_by_linear_algebra`` computes the Frobenius preimage
-{u : u^q in A} on the same engine, ``_Quotient``: only the image of a
-standard monomial u changes, from (NF(u * b))_b to NF(u^q).  Both reduced
-bases are read off the kernels, which come out in reduced row echelon
-form, and equal ``buchberger``'s.  Over F_2 the per-degree kernels run on
-rows packed into ints, one bit per standard monomial, so adding two rows
-is one XOR (the M4RI idea of Albrecht & Bard), and table keys are ints,
-so multiplying monomials is one integer addition.  Odd p keeps {monomial:
-coefficient} dicts: a row addition there is a multiply and a reduction
-mod p per entry, which no single operation on a packed int performs.
+``frobenius_colon`` computes {u : u^q * B in A} for a homogeneous A of
+finite colength and homogeneous B.  S/A is a finite F_p-vector space, and
+u - NF(u) lies in A, so the result is A plus, in each degree d, the kernel
+of u -> (NF(u^q * b))_b over A's standard monomials u of degree d: Frobenius
+is additive, so the map is F_p-linear.  With q = 1 it is the colon A : B
+(``Ideal.colon``), with B = (1) the Frobenius preimage {u : u^q in A}
+(``frobenius.frobenius_preimage``), and with A = tau * I^[q], B = tau the
+approximation I_q (``singularity.iq_approx``); degree by degree, in the
+spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16, 1993)
+and Marinari, Moeller & Mora (AAECC 4, 1993).  A normal-form table depends
+on its degree alone, so only the degrees q * d + deg b are tabulated.  The
+reduced basis is read off the kernels, which come out in reduced row
+echelon form, and equals ``buchberger``'s.  Over F_2 the per-degree kernels
+run on rows packed into ints, one bit per standard monomial, so adding two
+rows is one XOR (the M4RI idea of Albrecht & Bard), and table keys are
+ints, so multiplying monomials is one integer addition.  Odd p keeps
+{monomial: coefficient} dicts: a row addition there is a multiply and a
+reduction mod p per entry, which no single operation on a packed int
+performs.
 """
 
 from __future__ import annotations
@@ -226,14 +229,6 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = Non
     return reduced
 
 
-def is_groebner(basis, order: MonomialOrder = GREVLEX) -> bool:
-    """Every S-polynomial reduces to zero (used by tests, not hot paths)."""
-    for f, g in itertools.combinations(basis, 2):
-        if not normal_form(_s_polynomial(f, g, order), basis, order).is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Variable remapping and elimination.
 
@@ -349,20 +344,6 @@ def colength(gb, nvars: int):
     if staircase is None:
         return INFINITE
     return sum(height for _, height in staircase[1])
-
-
-def standard_monomials(gb, nvars: int):
-    """All monomials outside the lead-term ideal (finite colength required).
-
-    Sorted ascending as exponent tuples, i.e. in ``itertools.product`` order
-    over the box of pure-power bounds.
-    """
-    if any(g.is_constant() and not g.is_zero() for g in gb):
-        return []
-    staircase = _staircase(gb, nvars)
-    if staircase is None:
-        raise AlgebraError("infinite colength: no pure power for some variable")
-    return _staircase_monomials(staircase)
 
 
 def _staircase_monomials(staircase) -> list:
@@ -504,27 +485,24 @@ class _Quotient:
         return _narrow_kernel(kernel, self.standard[d], image, self.p)
 
     def divisor(self, b: Polynomial):
-        """b in the form ``colon_image`` takes: its term list."""
+        """b in the form ``image`` takes: its term list."""
         return list(b.terms.items())
 
-    def colon_image(self, divisors, e: int, table: dict):
-        """u -> (NF(u * b))_b, ``divisors`` of one degree in ``divisor`` form
-        and ``table`` the normal forms of degree e = deg u + deg b."""
+    def image(self, divisors, q: int, e: int, table: dict):
+        """u -> (NF(u^q * b))_b, ``divisors`` of one degree in ``divisor`` form
+        and ``table`` the normal forms of degree e = q * deg u + deg b."""
         p = self.p
 
         def image(u):
+            uq = mono_pow(u, q)
             acc: dict = {}
             for j, terms in enumerate(divisors):
                 for t, c in terms:
-                    for s, v in table[tuple(map(add, u, t))].items():
+                    for s, v in table[tuple(map(add, uq, t))].items():
                         key = (j, s)
                         acc[key] = acc.get(key, 0) + c * v
             return {k: v % p for k, v in acc.items() if v % p}
         return image
-
-    def preimage_image(self, q: int, table: dict):
-        """u -> NF(u^q): Frobenius is additive, so NF(v^q) = sum v_u NF(u^q)."""
-        return lambda u: table[mono_pow(u, q)]
 
     def rows(self, d: int, kernel):
         """(pivot, row as a dict) of each vector of a degree-d kernel."""
@@ -651,11 +629,13 @@ class _PackedF2(_Quotient):
     def divisor(self, b: Polynomial):
         return [self.key(t) for t in b.terms]
 
-    def colon_image(self, divisors, e: int, table: dict):
-        """key(u) -> NF(u * b_j) concatenated at bit offset j * width."""
+    def image(self, divisors, q: int, e: int, table: dict):
+        """key(u) -> NF(u^q * b_j) concatenated at bit offset j * width;
+        key(u^q * t) is q * key(u) + key(t)."""
         width = len(self.ukeys[e])
 
         def image(uk):
+            uk *= q
             out = 0
             for j, terms in enumerate(divisors):
                 acc = 0
@@ -664,9 +644,6 @@ class _PackedF2(_Quotient):
                 out |= acc << (j * width)
             return out
         return image
-
-    def preimage_image(self, q: int, table: dict):
-        return lambda uk: table[q * uk]
 
     def rows(self, d: int, kernel):
         return [(self.standard[d][v.bit_length() - 1], self.unpack(d, v)) for v in kernel]
@@ -678,8 +655,8 @@ class _PackedF2(_Quotient):
 
 def zero_dimensional_quotient(gb, ring: PolyRing):
     """S/A for the reduced grevlex GB ``gb`` of A, the ``_Quotient`` that
-    ``colon_by_linear_algebra`` and ``preimage_by_linear_algebra`` run on,
-    or None unless A is homogeneous of finite colength.
+    ``frobenius_colon`` runs on, or None unless A is homogeneous of finite
+    colength.
 
     The staircase of A is walked once, here: the test for finite colength
     and the standard monomials of the quotient share it.
@@ -696,22 +673,18 @@ def zero_dimensional_quotient(gb, ring: PolyRing):
     return (_PackedF2 if ring.field.p == 2 else _Quotient)(gb, ring, monomials)
 
 
-def colon_by_linear_algebra(quotient: _Quotient, divisors):
-    """Reduced grevlex GB of A : (divisors), the list ``buchberger`` returns.
+def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
+    """Reduced grevlex GB of {u : u^q * (divisors) in A}, the list
+    ``buchberger`` returns.
 
     ``quotient`` is S/A from ``zero_dimensional_quotient``, for a
     homogeneous ideal A of finite colength, and ``divisors`` are
-    homogeneous; zero divisors are ignored.
-    Then A : B = A + V with V spanned by standard monomials of A, and each
-    degree d of V is the kernel of u -> (NF(u * b))_b over the standard
-    monomials u of degree d, one nullspace per divisor degree.  A divisor
-    of degree above A's top standard degree imposes nothing, and a degree
-    never narrowed lies wholly in the colon.
-
-    Over F_2 the normal-form table and the narrowing run on rows packed
-    into ints (``_PackedF2``), so a row operation is one XOR, in the
-    manner of M4RI (Albrecht & Bard).  Odd p keeps the dict kernels, whose
-    row additions need a multiply and a reduction mod p per entry.
+    homogeneous; zero divisors are ignored.  The result is A + V with V
+    spanned by standard monomials of A, and each degree d of V is the
+    kernel of u -> (NF(u^q * b))_b over the standard monomials u of degree
+    d, narrowed once per divisor degree delta on the table of degree
+    q * d + delta.  A divisor of degree above A's top standard degree
+    imposes nothing, and a degree never narrowed lies wholly in the result.
     """
     divisors = [b for b in divisors if not b.is_zero()]
     if not divisors:
@@ -722,32 +695,15 @@ def colon_by_linear_algebra(quotient: _Quotient, divisors):
             by_degree.setdefault(b.degree(), []).append(quotient.divisor(b))
     kernels: dict = {}  # degree -> narrowed kernel basis; absent: never narrowed
     for e in range(quotient.top + 1):
-        narrow = [(delta, e - delta) for delta in sorted(by_degree)
-                  if e - delta >= 0 and kernels.get(e - delta) != []]
+        narrow = [(delta, (e - delta) // q) for delta in sorted(by_degree)
+                  if e >= delta and (e - delta) % q == 0
+                  and kernels.get((e - delta) // q) != []]
         if not narrow:
             continue
         table = quotient.table(e)
         for delta, d in narrow:
-            image = quotient.colon_image(by_degree[delta], e, table)
+            image = quotient.image(by_degree[delta], q, e, table)
             kernels[d] = quotient.narrow(kernels.get(d), d, image)
-    return quotient.basis(kernels)
-
-
-def preimage_by_linear_algebra(quotient: _Quotient, q: int):
-    """Reduced grevlex GB of {u : u^q in K}, the list ``buchberger`` returns.
-
-    ``quotient`` is S/K from ``zero_dimensional_quotient``, for a
-    homogeneous ideal K of finite colength.  As u - NF(u) lies in K and
-    Frobenius is additive, the preimage is K + V, where each degree d of V
-    is the kernel of u -> NF(u^q) over the standard monomials u of degree
-    d; a degree above top / q lies wholly in the preimage.  The kernels and
-    the basis are those of ``colon_by_linear_algebra``, with the image of u
-    changed.
-    """
-    kernels = {}
-    for d in range(quotient.top // q + 1):
-        table = quotient.table(q * d)
-        kernels[d] = quotient.narrow(None, d, quotient.preimage_image(q, table))
     return quotient.basis(kernels)
 
 

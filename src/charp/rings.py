@@ -36,9 +36,9 @@ from .groebner import (
     UnitIdeal,
     buchberger,
     colength as _gb_colength,
-    colon_by_linear_algebra,
     divide_exact,
     eliminate,
+    frobenius_colon,
     krull_dimension,
     normal_form,
     remap_polynomial,
@@ -327,29 +327,40 @@ class Ideal:
         """A : B = {u : uB in A}, computed on lifts.
 
         When B is generated by homogeneous elements and the lifted reduced
-        GB of A is homogeneous of finite colength, the colon is a nullspace
-        over A's standard monomials (``colon_by_linear_algebra``); every
-        other colon, positive-dimensional A included, is computed by
+        GB of A is homogeneous of finite colength, the colon is the
+        linear-algebra kernel ``frobenius_colon`` at q = 1 (``twisted_colon``);
+        every other colon, positive-dimensional A included, is computed by
         elimination.  Both give the same reduced GB.
         """
         self._same_ring(other)
-        ring = self.ring.poly
-        divisors = list(other.gens)
-        quotient = None
-        if divisors and all(b.is_homogeneous() for b in divisors):
-            quotient = zero_dimensional_quotient(self.gb, ring)
-        if quotient is not None:
-            gens = colon_by_linear_algebra(quotient, divisors)
-        else:
-            gens = _colon_gens(self.lift_gens(), divisors, ring)
-        colon = Ideal(self.ring, gens)
-        # both paths return the reduced GB of the lifted colon, which
-        # contains the relation, so it is already the lift's basis
-        colon._gb = gens
+        colon = twisted_colon(self, other.gens)
+        if colon is None:
+            gens = _colon_gens(self.lift_gens(), list(other.gens), self.ring.poly)
+            colon = _with_reduced_gb(self.ring, gens)
         return colon
 
-    def colon_element(self, f: Polynomial) -> "Ideal":
-        return self.colon(Ideal(self.ring, [f]))
+
+def _with_reduced_gb(ring: RingContext, gens) -> Ideal:
+    """The ideal generated by ``gens``, the reduced GB of a lifted ideal,
+    which contains the relation: ``gens`` is already its lift's basis."""
+    ideal = Ideal(ring, gens)
+    ideal._gb = gens
+    return ideal
+
+
+def twisted_colon(A: Ideal, divisors, q: int = 1) -> Ideal | None:
+    """{u : u^q * (divisors) in A}, with its reduced GB as generators, by
+    ``frobenius_colon``; None unless the divisors are homogeneous and the
+    lifted reduced GB of A is homogeneous of finite colength.
+
+    At q = 1 it is the colon, with divisors (1) the Frobenius preimage.
+    """
+    if not all(b.is_homogeneous() for b in divisors):
+        return None
+    quotient = zero_dimensional_quotient(A.gb, A.ring.poly)
+    if quotient is None:
+        return None
+    return _with_reduced_gb(A.ring, frobenius_colon(quotient, divisors, q))
 
 
 # ---------------------------------------------------------------------------

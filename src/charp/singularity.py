@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass
 
 from .core import AlgebraError, Polynomial
-from .frobenius import bracket_power, frobenius_q, frobenius_root
-from .frobenius import frobenius_preimage
+from .frobenius import bracket_power, frobenius_preimage, frobenius_q, frobenius_root
 from .groebner import normal_form
-from .rings import Ideal, RingContext, poly_gcd
+from .rings import Ideal, RingContext, poly_gcd, twisted_colon
 
 
 class NoTestElementFound(AlgebraError):
@@ -138,13 +137,21 @@ def star_colon(I: Ideal, tau: Ideal | None = None) -> Ideal:
 
 
 def iq_approx(I: Ideal, e: int, tau: Ideal | None = None) -> Ideal:
-    """I_q = {u : u^q in tau I^[q] : tau}, the q-th upper approximation."""
+    """I_q = {u : u^q tau in tau I^[q]}, the q-th upper approximation.
+
+    With A = tau I^[q], I_q = {u : u^q t in A for each generator t of tau},
+    one run of the kernel of u -> (NF_A(u^q t))_t (``rings.twisted_colon``),
+    which needs the normal forms of the degrees q deg u + deg t alone.
+    When tau is not homogeneous or the lift of A is not homogeneous of
+    finite colength, I_q is the Frobenius preimage of the colon A : tau.
+    """
     if tau is None:
         tau = test_ideal(I.ring).tau
-    target = (tau * bracket_power(I, e)).colon(tau)
-    if e == 0:
-        return target
-    return frobenius_preimage(target, e)
+    A = tau * bracket_power(I, e)
+    Iq = twisted_colon(A, tau.gens, frobenius_q(I.ring, e))
+    if Iq is None:
+        Iq = frobenius_preimage(A.colon(tau), e)
+    return Iq
 
 
 @dataclass(frozen=True)

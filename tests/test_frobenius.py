@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from charp import rings
+from charp import groebner, rings
 from charp.core import MAX_EXPONENT, ExponentOverflow, Polynomial
 from charp.frobenius import (
     QuotientContextUnsupported,
@@ -230,3 +230,59 @@ class TestFrobeniusPreimage:
 
     def test_unit_ideal(self, poly2):
         assert frobenius_preimage(poly2.ideal("1"), 1).is_unit()
+
+
+@st.composite
+def twisted_colons(draw):
+    """(ring, A, B, e): over F_p, p in {2, 3, 5, 7}, in 1-3 variables, A
+    generates a homogeneous ideal of colength at most 60, with or without
+    pure powers among its generators, B is 1-3 forms of degree 0-2 (a form
+    may come out zero) and q = p^e is 1, p or p^2."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.integers(1, 3))
+    ring = RingContext(p, ["x", "y", "z"][:nvars])
+
+    def form(lo, hi):
+        degree = draw(st.integers(lo, hi))
+        monos = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(m) == degree]
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                               max_size=len(monos)))
+        return Polynomial(ring.poly, {m: c for m, c in zip(monos, coeffs) if c})
+
+    if draw(st.booleans()):
+        gens = [ring.poly.var(i) ** draw(st.integers(1, 4)) for i in range(nvars)]
+        gens += [form(1, 3) for _ in range(draw(st.integers(0, 2)))]
+    else:
+        gens = [form(1, 3) for _ in range(nvars + draw(st.integers(0, 1)))]
+    A = Ideal(ring, gens)
+    assume(A.colength() <= 60)
+    divisors = [form(0, 2) for _ in range(draw(st.integers(1, 3)))]
+    return ring, A, divisors, draw(st.integers(0, 2))
+
+
+def _twisted_case(p, names, dividend, divisors, e):
+    ring = RingContext(p, names)
+    return ring, ring.ideal(*dividend), [ring.parse(b) for b in divisors], e
+
+
+class TestFrobeniusColon:
+    """The twisted kernel {u : u^q * B in A} equals the Frobenius preimage of
+    the colon A : B, taken by the library and by elimination alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(twisted_colons())
+    @example(_twisted_case(3, ["x", "y"], ["x^3", "y^4"], ["x+y"], 1))
+    @example(_twisted_case(2, ["x", "y", "z"], ["x^2", "y^2", "z^2", "x*y+y*z"],
+                           ["x", "y+z", "1"], 2))
+    def test_equals_preimage_of_colon(self, case):
+        ring, A, divisors, e = case
+        q = frobenius_q(ring, e)
+        quotient = groebner.zero_dimensional_quotient(A.gb, ring.poly)
+        twisted = groebner.frobenius_colon(quotient, divisors, q)
+        B = Ideal(ring, divisors)
+        assert twisted == frobenius_preimage(A.colon(B), e).gb
+        colon = buchberger(rings._colon_gens(A.lift_gens(), divisors, ring.poly),
+                           ring=ring.poly)
+        assert twisted == buchberger(_preimage_by_elimination(colon, q, ring.poly),
+                                     ring=ring.poly)

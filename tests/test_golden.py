@@ -1,10 +1,12 @@
 """The 13 suite reports with default parameters, timings dropped, are
 byte-identical to the committed files: on fermat2, tests/golden at seed 0
 and tests/golden/seed1 at seed 1, the suite seed of the ``suites``
-benchmark; on poly2_3, tests/golden/poly2_3 at seed 0.
+benchmark; on poly2_3, tests/golden/poly2_3 at seed 0.  On the Fermat cubic
+at p = 5, ``decr`` and ``main-theorem`` at seed 0 match tests/golden/fermat5.
 
 The (ring, seed) pairs and their directories are ``GOLDEN`` in
-``scripts/make_golden.py``.  Regenerate them all with
+``scripts/make_golden.py``, and ``SUITES`` there names the suites of a ring
+pinned on fewer than all 13.  Regenerate them all with
 ``python scripts/make_golden.py``; a rerun changes what these tests accept,
 so record it, and why, in CHANGES.md.
 """
@@ -31,7 +33,7 @@ def _test_id(ring: str, seed: int, suite: str) -> str:
 
 @pytest.mark.parametrize("ring, seed, suite", [
     pytest.param(ring, seed, suite, id=_test_id(ring, seed, suite))
-    for ring, seed in GOLDEN for suite in SUITE_NAMES
+    for ring, seed in GOLDEN for suite in make_golden.SUITES.get(ring, SUITE_NAMES)
 ])
 def test_report_matches_golden(ring, seed, suite):
     golden = (Path(GOLDEN[ring, seed]) / f"{suite}.json").read_bytes()

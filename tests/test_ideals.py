@@ -6,9 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from charp import groebner, rings
+from charp import groebner, rings, singularity
 from charp.core import GREVLEX, AlgebraError, PolyRing, Polynomial
-from charp.groebner import INFINITE, buchberger, colength, colon_by_linear_algebra
+from charp.groebner import INFINITE, buchberger, colength, frobenius_colon
 from charp.rings import (
     Ideal,
     ParameterSearchFailed,
@@ -152,10 +152,6 @@ class TestIdealOperations:
         I, J = poly3.ideal("x"), poly3.ideal("y")
         assert (I + J) == poly3.ideal("x", "y")
         assert (I * J) == poly3.ideal("x*y")
-
-    def test_colon_element(self, poly3):
-        I = poly3.ideal("x*y", "x*z")
-        assert I.colon_element(poly3.parse("x")) == poly3.ideal("y", "z")
 
     def test_unmixed_part_identity(self, fermat2):
         # a : (a : I) recovers unmixed m-primary ideals
@@ -553,7 +549,7 @@ def _cube_colon(p):
 
 def _both_colons(ring, gens, divisors):
     quotient = groebner.zero_dimensional_quotient(buchberger(gens, ring=ring), ring)
-    fast = colon_by_linear_algebra(quotient, divisors)
+    fast = frobenius_colon(quotient, divisors)
     slow = rings._colon_gens(gens, divisors, ring)
     return fast, slow
 
@@ -588,7 +584,7 @@ class TestColonByLinearAlgebra:
 
         with mock.patch.object(groebner, "_narrow_kernel", spy_dict), \
                 mock.patch.object(groebner._PackedF2, "narrow", spy_packed):
-            colon_by_linear_algebra(
+            frobenius_colon(
                 groebner.zero_dimensional_quotient(buchberger(gens, ring=ring), ring), divisors)
         for kernel in kernels:
             pivots = [max(v, key=GREVLEX.key) for v in kernel]
@@ -642,28 +638,29 @@ class TestColonByLinearAlgebra:
         assert fermat2.maximal_ideal().colon(I) == fermat2.ideal("1")
 
 
+def _spy(monkeypatch, taken, owner, name):
+    """Wrap ``owner.name`` so that each call appends ``name`` to ``taken``."""
+    original = getattr(owner, name)
+
+    def wrapped(*args):
+        taken.append(name)
+        return original(*args)
+    monkeypatch.setattr(owner, name, wrapped)
+
+
 class TestColonDispatch:
     """Only homogeneous colons with an m-primary dividend skip elimination."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
         taken = []
-
-        def spy(name):
-            original = getattr(rings, name)
-
-            def wrapped(*args):
-                taken.append(name)
-                return original(*args)
-            monkeypatch.setattr(rings, name, wrapped)
-
-        spy("colon_by_linear_algebra")
-        spy("_colon_gens")
+        for name in ("frobenius_colon", "_colon_gens"):
+            _spy(monkeypatch, taken, rings, name)
         return taken
 
     def test_m_primary_homogeneous_takes_linear_algebra(self, paths, poly3):
         poly3.ideal("x^2", "y^2", "z^3").colon(poly3.ideal("x*y", "z"))
-        assert paths == ["colon_by_linear_algebra"]
+        assert paths == ["frobenius_colon"]
 
     def test_non_homogeneous_dividend_takes_elimination(self, paths, poly3):
         A = poly3.ideal("x^2+y", "y^2", "z^2")
@@ -678,3 +675,32 @@ class TestColonDispatch:
     def test_non_homogeneous_divisor_takes_elimination(self, paths, poly3):
         poly3.ideal("x^2", "y^2", "z^2").colon(poly3.ideal("x+y^2"))
         assert paths == ["_colon_gens"]
+
+
+class TestIqDispatch:
+    """``iq_approx`` runs one twisted kernel when tau I^[q] has a homogeneous
+    lift of finite colength, and the colon-then-preimage path otherwise."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        taken = []
+        for owner, name in ((rings, "frobenius_colon"), (rings, "_colon_gens"),
+                            (rings.Ideal, "colon"), (singularity, "frobenius_preimage")):
+            _spy(monkeypatch, taken, owner, name)
+        return taken
+
+    @pytest.fixture
+    def tau(self, fermat2):
+        # the test ideal's own chain runs before the spies are in place
+        return singularity.test_ideal(fermat2).tau
+
+    def test_m_primary_takes_one_kernel(self, fermat2, tau, paths):
+        Iq = singularity.iq_approx(fermat2.maximal_ideal(), 2, tau)
+        assert paths == ["frobenius_colon"]
+        assert Iq == fermat2.maximal_ideal()
+
+    def test_non_m_primary_takes_colon_then_preimage(self, fermat2, tau, paths):
+        I = fermat2.ideal("x")
+        Iq = singularity.iq_approx(I, 2, tau)
+        assert paths == ["colon", "_colon_gens", "frobenius_preimage"]
+        assert Iq.contains_ideal(I)
