@@ -281,7 +281,7 @@ def _suite_mapping_cone(ring, params, rng, rep):
     m = ring.maximal_ideal()
     for k in range(10):
         b = find_parameter_ideal(m, rng)
-        a = find_parameter_ideal(b, rng)
+        a = find_parameter_ideal(b, rng, min_bump=1)
         try:
             delta = link_delta(a, b)
         except AlgebraError as exc:
@@ -309,7 +309,7 @@ def _suite_case1(ring, params, rng, rep):
         if not I.is_m_primary():
             I = m
         b = find_parameter_ideal(I, rng)
-        a = find_parameter_ideal(b, rng)
+        a = find_parameter_ideal(b, rng, min_bump=1)
         fixtures.append((I, b, a))
     for k, (I, b, a) in enumerate(fixtures):
         lhs = a.colon(b.colon(I))

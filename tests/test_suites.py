@@ -96,3 +96,20 @@ class TestPaperExampleRings:
         report = verify_suite("paper-example", {"p": 2, "vars": ["x", "y", "z"],
                                                 "mod": "x^3+y^3+z^3", "seed": 0})
         assert [c["status"] for c in report["checks"]] == ["pass"] * 5
+
+
+class TestNestedPairs:
+    """mapping-cone and case1 draw a inside b with a degree bump, so a != b."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("suite, check, count", [
+        ("mapping-cone", "a:b = (a, delta)", 10),
+        ("case1", "a:(b:I) = a + I(a:b)", 5),
+    ], ids=["mapping-cone", "case1"])
+    def test_a_strictly_inside_b(self, suite, check, count, seed):
+        report = verify_suite(suite, {"seed": seed})
+        details = [c["details"] for c in report["checks"] if c["name"].endswith(check)]
+        assert len(details) == count
+        for text in details:
+            fields = dict(part.split(" = ", 1) for part in text.split("; "))
+            assert fields["a"] != fields["b"]
