@@ -6,16 +6,19 @@ powers, I^<q> = a^[q] : J^[q], and are independent of the choice of a.
 Linkage classes can be infinite, so exploration is breadth-first with a
 node cap; sums over explored nodes are certified lower bounds for the sum
 of the full class.
+
+For nested parameter ideals a = M * b of one height, a : b = (a, det M)
+(Northcott, Math. Ann. 150, 1963): ``link_delta`` reads delta off M.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import AlgebraError, Polynomial
 from .frobenius import bracket_power, frobenius_q
+from .groebner import _monomials_of_degree, _narrow_kernel
 from .rings import (
     Ideal,
     ParameterSearchFailed,
@@ -23,6 +26,9 @@ from .rings import (
     find_parameter_ideal,
     is_unmixed,
 )
+
+_MAX_LINK_TRIES = 24  # parameter ideals ``direct_link`` samples at most
+_MAX_NODES = 64  # node cap of a ``tilde_approx`` exploration
 
 
 class NotUnmixed(AlgebraError):
@@ -33,61 +39,17 @@ class WellDefinednessViolation(AlgebraError):
     """Corner-power candidates from distinct parameter ideals disagreed."""
 
 
-class DeltaNotFound(AlgebraError):
-    """The cyclic-generator search for delta exhausted its width.
-
-    Soft failure: the mapping-cone lemma guarantees delta exists, but the
-    search width is bounded; the inputs are carried for logging.
-    """
-
-    def __init__(self, a: Ideal, b: Ideal):
-        super().__init__(f"no delta found for {a!r} : {b!r}")
-        self.a = a
-        self.b = b
-
-
-@dataclass
-class LinkageEdge:
-    src: int
-    dst: int
-    linking: Ideal
-    verified: bool
-
-
 @dataclass
 class LinkageRecord:
-    """A sampled portion of a linkage class: nodes, verified double links,
-    and the root the exploration started from."""
+    """A sampled portion of a linkage class: its distinct nodes, root first,
+    and whether the node cap stopped the exploration."""
 
-    root: Ideal
-    nodes: list = field(default_factory=list)
-    edges: list = field(default_factory=list)
+    nodes: list
     capped: bool = False
-    flags: dict = field(default_factory=dict)
-
-    def node_index(self, I: Ideal) -> int:
-        key = I.key()
-        for i, node in enumerate(self.nodes):
-            if node.key() == key:
-                return i
-        self.nodes.append(I)
-        return len(self.nodes) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "nodes": [node.gb_strings() for node in self.nodes],
-            "edges": [
-                {"from": e.src, "to": e.dst,
-                 "a": e.linking.gb_strings(), "verified": e.verified}
-                for e in self.edges
-            ],
-            "flags": dict(self.flags, capped=self.capped),
-        }
 
 
 def direct_link(I: Ideal, a: Ideal | None = None,
-                rng: random.Random | None = None, max_tries: int = 24,
-                check_unmixed: bool = True):
+                rng: random.Random | None = None, check_unmixed: bool = True):
     """One direct link: J = a : I with the double link a : J = I verified.
 
     ``a`` is sampled via find_parameter_ideal when not given; the degenerate
@@ -99,7 +61,7 @@ def direct_link(I: Ideal, a: Ideal | None = None,
     if check_unmixed and not is_unmixed(I, rng):
         raise NotUnmixed(f"{I!r} is not unmixed")
     g = I.height()
-    for trial in range(max_tries):
+    for trial in range(_MAX_LINK_TRIES):
         if a is None:
             # raise the degree floor on retries so principal ideals do not
             # keep sampling I itself
@@ -121,47 +83,56 @@ def direct_link(I: Ideal, a: Ideal | None = None,
     raise ParameterSearchFailed("every sampled parameter ideal equalled I")
 
 
-def link_delta(a: Ideal, b: Ideal, max_pair_combos: int = 200) -> Polynomial:
+def _lift(f: Polynomial, b: Ideal) -> list:
+    """Row c of M with f = sum c_j * b_j modulo the relation, for homogeneous f.
+    In degree deg f, the kernel of the columns u * g (g among b's generators
+    and the relation) and f has one vector through f's column: 1 there, and
+    the coefficients of -c_j on the columns of b_j."""
+    ring = b.ring.poly
+    gens = b.lift_gens()
+    columns = [(j, u) for j, g in enumerate(gens) if g.degree() <= f.degree()
+               for u in _monomials_of_degree(ring.nvars, f.degree() - g.degree())]
+    columns.append(None)
+
+    def image(column):
+        if column is None:
+            return f.terms
+        j, u = column
+        return gens[j].mul_monomial(u).terms
+    for vec in _narrow_kernel(None, columns, image, ring.field.p):
+        if vec.pop(None, 0):
+            return [ring.from_terms((u, -c) for (i, u), c in vec.items() if i == j)
+                    for j in range(len(b.gens))]
+    raise AlgebraError("need a contained in b")
+
+
+def _det(M, ring) -> Polynomial:
+    """Determinant by cofactor expansion along the first row."""
+    if not M:
+        return ring.one()
+    det = ring.zero()
+    for j, entry in enumerate(M[0]):
+        term = entry * _det([row[:j] + row[j + 1:] for row in M[1:]], ring)
+        det = det - term if j % 2 else det + term
+    return det
+
+
+def link_delta(a: Ideal, b: Ideal) -> Polynomial:
     """delta with a : b = (a, delta) and a : delta = b, for nested parameter
-    ideals a inside b of the same height.
+    ideals a inside b of the same height and homogeneous generators.
 
-    Resolution-free: scans colon generators reduced mod a, then small F_p
-    combinations, verifying both identities before returning.
+    Northcott's closed form: with a = M * b, each generator of a lifted
+    over b's generators, delta is NF_a(det M), made monic.
     """
-    if not b.contains_ideal(a):
-        raise AlgebraError("need a contained in b")
-    c = a.colon(b)
-    if c.is_unit():
-        return a.ring.poly.one()
-
-    def verify(delta: Polynomial) -> bool:
-        if delta.is_zero():
-            return False
-        if Ideal(a.ring, list(a.gens) + [delta]) != c:
-            return False
-        return a.colon(Ideal(a.ring, [delta])) == b
-
-    candidates = []
-    seen = set()
-    for g in c.gb:
-        r = a.reduce(g)
-        if not r.is_zero() and r.canonical_terms() not in seen:
-            seen.add(r.canonical_terms())
-            candidates.append(r)
-    for delta in candidates:
-        if verify(delta):
-            return delta
-    p = a.ring.field.p
-    combos = 0
-    for u, v in itertools.combinations(candidates, 2):
-        for s in range(1, p):
-            combos += 1
-            if combos > max_pair_combos:
-                raise DeltaNotFound(a, b)
-            delta = u + v.scale(s)
-            if verify(delta):
-                return delta
-    raise DeltaNotFound(a, b)
+    if len(a.gens) != len(b.gens):
+        raise AlgebraError("need as many generators in a as in b")
+    if not all(f.is_homogeneous() for f in a.gens + b.gens):
+        raise AlgebraError("link_delta needs homogeneous generators")
+    M = [_lift(f, b) for f in a.gens]
+    delta = a.reduce(_det(M, a.ring.poly))
+    if delta.is_zero():
+        raise AlgebraError("det M lies in a: not parameter ideals of one height")
+    return delta.monic()
 
 
 @dataclass(frozen=True)
@@ -172,8 +143,7 @@ class CornerPowerResult:
 
 
 def corner_power(I: Ideal, e: int, samples: int = 2,
-                 rng: random.Random | None = None,
-                 check_unmixed: bool = False) -> CornerPowerResult:
+                 rng: random.Random | None = None) -> CornerPowerResult:
     """I^<q> = a^[q] : J^[q] with J = a : I, cross-checked over ``samples``
     independently sampled parameter ideals a.
 
@@ -182,8 +152,6 @@ def corner_power(I: Ideal, e: int, samples: int = 2,
     """
     if rng is None:
         rng = random.Random(0xC02E2)
-    if check_unmixed and not is_unmixed(I, rng):
-        raise NotUnmixed(f"{I!r} is not unmixed")
     q = frobenius_q(I.ring, e)
     witnesses = []
     for _ in range(max(1, samples)):
@@ -202,48 +170,35 @@ def corner_power(I: Ideal, e: int, samples: int = 2,
 
 
 def tilde_approx(I: Ideal, depth: int = 2, samples_per_node: int = 3,
-                 rng: random.Random | None = None, max_nodes: int = 64):
+                 rng: random.Random | None = None):
     """Bounded breadth-first linkage exploration from I.
 
     Returns (sum of all discovered node ideals, LinkageRecord).  The sum is
-    a certified lower bound for the sum of the full linkage class; the
-    record flags whether it is m-primary and whether it sits inside I.
+    a certified lower bound for the sum of the full linkage class.
     """
     if rng is None:
         rng = random.Random(0x71DE)
-    record = LinkageRecord(root=I)
-    record.node_index(I)
+    record = LinkageRecord(nodes=[I])
+    seen = {I.key()}
     frontier = [I]
     for _ in range(depth):
-        next_frontier = []
+        known = len(record.nodes)
         for node in frontier:
             for _ in range(samples_per_node):
-                if len(record.nodes) >= max_nodes:
+                if len(record.nodes) >= _MAX_NODES:
                     record.capped = True
                     break
                 try:
-                    J, a = direct_link(node, rng=rng, check_unmixed=False)
-                except (ParameterSearchFailed, AlgebraError):
+                    J, _ = direct_link(node, rng=rng, check_unmixed=False)
+                except AlgebraError:
                     continue
-                known = len(record.nodes)
-                j = record.node_index(J)
-                i = record.node_index(node)
-                record.edges.append(LinkageEdge(i, j, a, True))
-                if j >= known:
-                    next_frontier.append(J)
-        frontier = next_frontier
+                if J.key() not in seen:
+                    seen.add(J.key())
+                    record.nodes.append(J)
+        frontier = record.nodes[known:]
         if record.capped or not frontier:
             break
-    gens = []
-    for node in record.nodes:
-        gens.extend(node.gens)
-    total = Ideal(I.ring, gens)
-    record.flags = {
-        "m_primary": total.is_m_primary(),
-        "contained_in_root": I.contains_ideal(total),
-        "capped": record.capped,
-    }
-    return total, record
+    return Ideal(I.ring, [g for node in record.nodes for g in node.gens]), record
 
 
 def m_primary_link_lift(I: Ideal, chain, t: int,

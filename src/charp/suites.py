@@ -426,20 +426,21 @@ def _suite_lit(ring, params, rng, rep):
               f"capped = {record.capped}")
 
 
+# suite name -> (suite function, whether it reads --ideal)
 _SUITES = {
-    "paper-example": _suite_paper_example,
-    "corner-welldef": _suite_corner_welldef,
-    "corner-containment": _suite_corner_containment,
-    "essential": _suite_essential,
-    "decr": _suite_decr,
-    "higher": _suite_higher,
-    "hk-identity": _suite_hk_identity,
-    "mapping-cone": _suite_mapping_cone,
-    "case1": _suite_case1,
-    "linkage-lift": _suite_linkage_lift,
-    "main-theorem": _suite_main_theorem,
-    "max-in-class": _suite_max_in_class,
-    "lit": _suite_lit,
+    "paper-example": (_suite_paper_example, False),
+    "corner-welldef": (_suite_corner_welldef, True),
+    "corner-containment": (_suite_corner_containment, True),
+    "essential": (_suite_essential, True),
+    "decr": (_suite_decr, True),
+    "higher": (_suite_higher, False),
+    "hk-identity": (_suite_hk_identity, True),
+    "mapping-cone": (_suite_mapping_cone, False),
+    "case1": (_suite_case1, False),
+    "linkage-lift": (_suite_linkage_lift, False),
+    "main-theorem": (_suite_main_theorem, True),
+    "max-in-class": (_suite_max_in_class, False),
+    "lit": (_suite_lit, False),
 }
 
 SUITE_NAMES = sorted(_SUITES)
@@ -449,6 +450,7 @@ def verify_suite(name: str, params: dict | None = None) -> dict:
     """Run one named suite; returns the SuiteReport dict."""
     if name not in _SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {SUITE_NAMES}")
+    suite, takes_ideal = _SUITES[name]
     params = dict(params or {})
     seed = int(params.pop("seed", 0))
     ring = params.pop("ring", None)
@@ -460,6 +462,8 @@ def verify_suite(name: str, params: dict | None = None) -> dict:
             ring = "fermat2"
         ring = make_ring(ring, p, variables, mod)
     ideal_text = params.pop("ideal", None)
+    if ideal_text and not takes_ideal:
+        raise AlgebraError(f"suite {name!r} takes no --ideal")
     merged = dict(DEFAULTS)
     for key in DEFAULTS:
         if params.get(key) is not None:
@@ -479,7 +483,7 @@ def verify_suite(name: str, params: dict | None = None) -> dict:
     }
     rep = _Report(name, public_params, seed)
     rng = random.Random(seed)
-    _SUITES[name](ring, merged, rng, rep)
+    suite(ring, merged, rng, rep)
     return rep.done()
 
 

@@ -161,6 +161,10 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.endswith("must be non-negative, got -1\n")
         assert err.count("\n") == 1
 
+    def test_ideal_for_a_suite_without_one_is_input_error(self, capsys):
+        assert main(["verify", "higher", "--ideal", "x"]) == 2
+        assert capsys.readouterr().err == "error: suite 'higher' takes no --ideal\n"
+
     def test_unwritable_json_is_one_line_exit_two(self, tmp_path):
         result = run_charp(["verify", "paper-example", "--json",
                             str(tmp_path / "missing" / "r.json")])

@@ -1,7 +1,10 @@
+import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from charp.core import AlgebraError
 from charp.frobenius import bracket_power
 from charp.linkage import (
     NotUnmixed,
@@ -11,7 +14,13 @@ from charp.linkage import (
     m_primary_link_lift,
     tilde_approx,
 )
-from charp.rings import Ideal, RingContext, find_parameter_ideal, is_unmixed
+from charp.rings import (
+    Ideal,
+    ParameterSearchFailed,
+    RingContext,
+    find_parameter_ideal,
+    is_unmixed,
+)
 from charp.singularity import test_ideal as compute_test_ideal
 
 
@@ -75,6 +84,87 @@ class TestLinkDelta:
             link_delta(fermat2.ideal("x"), fermat2.ideal("y"))
 
 
+# (variables, relation) of the rings the differential test draws, per p; a
+# relation must not be a p-th power, so x^3+y^3+z^3 sits out p = 3
+_RINGS = {p: [(("x", "y"), None), (("x", "y", "z"), None), (("x", "y", "z"), "x*y-z^2"),
+              (("x", "y", "z"), "x^4+y^4+z^4" if p == 3 else "x^3+y^3+z^3")]
+          for p in (2, 3, 5, 7)}
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(p, variables, relation):
+    return RingContext(p, list(variables), relation)
+
+
+@st.composite
+def nested_parameter_pairs(draw):
+    """(a, b): b a parameter ideal in m, a one inside b drawn with a degree
+    bump of 1 or 2, so that a != b."""
+    p = draw(st.sampled_from(sorted(_RINGS)))
+    ring = _ring(p, *draw(st.sampled_from(_RINGS[p])))
+    rng = random.Random(draw(st.integers(0, 2 ** 20)))
+    try:
+        b = find_parameter_ideal(ring.maximal_ideal(), rng)
+        a = find_parameter_ideal(b, rng, min_bump=draw(st.integers(1, 2)))
+    except ParameterSearchFailed:
+        assume(False)
+    return a, b
+
+
+def reference_delta(a, b):
+    """The rule link_delta had before its closed form: the first nonzero
+    normal form modulo a of an element of a : b's reduced GB, made monic."""
+    for g in a.colon(b).gb:
+        r = a.reduce(g)
+        if not r.is_zero():
+            return r.monic()
+
+
+class TestLinkDeltaClosedForm:
+    """Northcott's det M against the colon it names."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nested_parameter_pairs())
+    def test_against_colon(self, pair):
+        a, b = pair
+        delta = link_delta(a, b)
+        assert delta.leading_coefficient() == 1
+        assert a + Ideal(a.ring, [delta]) == a.colon(b)
+        assert a.colon(Ideal(a.ring, [delta])) == b
+        assert delta == reference_delta(a, b)
+
+    def test_lift_uses_the_relation(self, fermat2):
+        # z^3 lies in (x, y) only modulo x^3+y^3+z^3
+        a, b = fermat2.ideal("x^2", "z^3"), fermat2.ideal("x", "y")
+        delta = link_delta(a, b)
+        assert a + Ideal(fermat2, [delta]) == a.colon(b)
+        assert delta == reference_delta(a, b)
+
+    def test_makes_no_colon_call(self, fermat2, monkeypatch):
+        rng = random.Random(3)
+        b = find_parameter_ideal(fermat2.maximal_ideal(), rng)
+        a = find_parameter_ideal(b, rng, min_bump=1)
+        calls = []
+        colon = Ideal.colon
+
+        def spy(self, other):
+            calls.append(other)
+            return colon(self, other)
+        monkeypatch.setattr(Ideal, "colon", spy)
+        link_delta(a, b)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, b, message", [
+        (("x^2",), ("y",), "contained"),
+        (("x^2", "y^2"), ("x", "y", "z"), "as many generators"),
+        (("x^2+y", "y^2"), ("x", "y"), "homogeneous"),
+        (("x^2", "x*y"), ("x", "y"), "det M lies in a"),
+    ], ids=["not-nested", "generator-counts", "inhomogeneous", "det-in-a"])
+    def test_rejects(self, poly3, a, b, message):
+        with pytest.raises(AlgebraError, match=message):
+            link_delta(poly3.ideal(*a), poly3.ideal(*b))
+
+
 class TestCornerPower:
     def test_worked_example_corner(self, fermat2):
         I = fermat2.ideal("x^2", "y^2", "z^2")
@@ -123,17 +213,11 @@ class TestTildeApprox:
         total, record = tilde_approx(m, depth=2, samples_per_node=3,
                                      rng=random.Random(29))
         assert total == m
-        assert record.flags["m_primary"]
-        assert record.flags["contained_in_root"]
+        assert total.is_m_primary()
+        assert m.contains_ideal(total)
         assert all(m.contains_ideal(node) for node in record.nodes)
-
-    def test_record_json_shape(self, fermat2):
-        _, record = tilde_approx(fermat2.maximal_ideal(), depth=1,
-                                 samples_per_node=2, rng=random.Random(31))
-        data = record.to_json()
-        assert set(data) == {"nodes", "edges", "flags"}
-        for edge in data["edges"]:
-            assert edge["verified"]
+        assert record.nodes[0] == m
+        assert len({node.key() for node in record.nodes}) == len(record.nodes)
 
     def test_sum_contains_root(self, fermat2):
         I = fermat2.ideal("x^2", "y^2", "z^2")

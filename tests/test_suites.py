@@ -1,5 +1,6 @@
 import pytest
 
+from charp.core import AlgebraError
 from charp.suites import (
     BUILTIN_RINGS,
     SUITE_NAMES,
@@ -74,6 +75,14 @@ class TestParamPlumbing:
                               {"seed": 0, "ideal": "x^2,y^2,z^2"})
         assert report["params"]["ideal"] == "x^2,y^2,z^2"
         assert report_exit_code(report) == 0
+
+    @pytest.mark.parametrize("suite", [
+        "paper-example", "higher", "mapping-cone", "case1", "linkage-lift",
+        "max-in-class", "lit",
+    ])
+    def test_ideal_rejected_where_unread(self, suite):
+        with pytest.raises(AlgebraError, match="takes no --ideal"):
+            verify_suite(suite, {"seed": 0, "ideal": "x"})
 
     def test_defaults_recorded(self):
         report = verify_suite("paper-example", {"seed": 0})
