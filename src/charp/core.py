@@ -6,10 +6,16 @@ tuple of (monomial, coefficient) pairs built lazily from it for hashing,
 equality and printing.  Monomials are plain tuples of non-negative integer
 exponents, one slot per ring variable.  All operations are pure functions;
 values may be freely shared.
+
+``parse_polynomial`` reads a text with one ``findall`` scan, whose tokens
+are a number, a variable with its optional exponent, an operator or any
+other non-space character, and one loop over them.  Token positions are
+found again only when an error is raised.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import total_ordering
 from operator import add, le
@@ -288,10 +294,12 @@ class Polynomial:
     ``terms`` maps exponent tuples to nonzero coefficients in [0, p).
     The canonical (grevlex-descending) term tuple backs hashing, equality
     and printing, so equal polynomials have identical representations.
-    The leading monomial is cached for the last order it was asked under.
+    The leading monomial is cached for the last order it was asked under,
+    and beside it the reducer that ``groebner`` prepares from that lead;
+    a lead recomputed for another order clears the reducer.
     """
 
-    __slots__ = ("ring", "terms", "_canon", "_lead_order", "_lead")
+    __slots__ = ("ring", "terms", "_canon", "_lead_order", "_lead", "_reducer")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -299,6 +307,7 @@ class Polynomial:
         self._canon = None
         self._lead_order = None
         self._lead = None
+        self._reducer = None
 
     # -- canonical form -------------------------------------------------------
 
@@ -331,6 +340,7 @@ class Polynomial:
                 raise AlgebraError("zero polynomial has no leading term")
             self._lead = max(self.terms, key=order.key)
             self._lead_order = order
+            self._reducer = None
         return self._lead
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:
@@ -504,28 +514,26 @@ def format_polynomial(f: Polynomial) -> str:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<nat>\d+)|(?P<var>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<op>[-+*^()])|(?P<nat>\d+)"
+    r"|(?P<var>[a-zA-Z][a-zA-Z0-9_]*)(?:\s*\^\s*(?P<exp>\d+))?|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolynomialSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup == "nat":
-            tokens.append(("nat", int(m.group("nat")), m.start("nat")))
-        elif m.lastgroup == "var":
-            tokens.append(("var", m.group("var"), m.start("var")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
+def _position(text: str, k: int, group: str) -> int:
+    """Start of ``group`` in the k-th token of text."""
+    return next(itertools.islice(_TOKEN.finditer(text), k, None)).start(group)
+
+
+def _token_error(text: str):
+    """Text's first tokenizing error: int's ValueError on an over-long digit
+    string (raised), or a stray character (returned, positioned at the start
+    of its token's leading whitespace).  None if there is neither."""
+    for m in _TOKEN.finditer(text):
+        _, nat, _, exp, bad = m.groups()
+        int(nat or exp or 0)
+        if bad:
+            return PolynomialSyntaxError(f"unexpected character {bad!r}", m.start())
+    return None
 
 
 def parse_polynomial(text: str, ring) -> Polynomial:
@@ -533,78 +541,65 @@ def parse_polynomial(text: str, ring) -> Polynomial:
 
     `term := coeff? ('*'? var ('^' nat)?)*` with integer coefficients
     reduced mod p.  Raises PolynomialSyntaxError / UnknownVariableError.
+    Every error first asks ``_token_error``, so a stray character anywhere
+    in the text wins over a parse error.
     """
-    if isinstance(ring, PolyRing):
-        pring = ring
-    else:
-        pring = ring.poly  # RingContext duck-typing
-    tokens = _tokenize(text)
+    pring = ring if isinstance(ring, PolyRing) else ring.poly  # or a RingContext
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial", 0)
     n = pring.nvars
     p = pring.field.p
-    i = 0
-
-    def parse_term(sign: int):
-        nonlocal i
-        coeff = sign
-        exps = [0] * n
-        saw_factor = False
-        expect_factor = True  # a factor must follow a '*'
-        while i < len(tokens):
-            kind, val, pos = tokens[i]
-            if kind == "nat":
-                coeff = (coeff * val) % p
-                saw_factor = True
-                expect_factor = False
-                i += 1
-            elif kind == "var":
-                if val not in pring._varindex:
-                    raise UnknownVariableError(f"unknown variable {val!r} at position {pos}")
-                idx = pring._varindex[val]
-                e = 1
-                i += 1
-                if i < len(tokens) and tokens[i][:2] == ("op", "^"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "nat":
-                        raise PolynomialSyntaxError("expected exponent after '^'",
-                                                    tokens[i - 1][2])
-                    e = tokens[i][1]
-                    if e > MAX_EXPONENT:
-                        raise ExponentOverflow(f"exponent {e} too large")
-                    i += 1
-                exps[idx] += e
-                if exps[idx] > MAX_EXPONENT:
-                    raise ExponentOverflow("exponent overflow in term")
-                saw_factor = True
-                expect_factor = False
-            elif kind == "op" and val == "*":
-                if expect_factor:
-                    raise PolynomialSyntaxError("unexpected '*'", pos)
-                expect_factor = True
-                i += 1
-            else:
-                break
-        if not saw_factor:
-            pos = tokens[i][2] if i < len(tokens) else len(text)
-            raise PolynomialSyntaxError("expected a term", pos)
-        if expect_factor:
-            raise PolynomialSyntaxError("dangling '*'", tokens[i - 1][2])
-        return tuple(exps), coeff % p
-
+    varindex = pring._varindex
     terms = []
-    sign = 1
     # optional leading sign
-    if tokens[0][:2] == ("op", "-"):
-        sign = p - 1
-        i = 1
-    elif tokens[0][:2] == ("op", "+"):
-        i = 1
-    terms.append(parse_term(sign))
-    while i < len(tokens):
-        kind, val, pos = tokens[i]
-        if kind != "op" or val not in "+-":
-            raise PolynomialSyntaxError(f"expected '+' or '-', got {val!r}", pos)
-        i += 1
-        terms.append(parse_term(1 if val == "+" else p - 1))
+    first = 1 if tokens[0][0] in ("+", "-") else 0
+    coeff = p - 1 if tokens[0][0] == "-" else 1
+    exps = [0] * n
+    state = 0  # 0: no factor yet in the term, 1: after a factor, 2: after a '*'
+    for k, (op, nat, var, exp, _) in enumerate(tokens[first:], first):
+        if var:
+            j = varindex.get(var)
+            if j is None:
+                raise _token_error(text) or UnknownVariableError(
+                    f"unknown variable {var!r} at position {_position(text, k, 'var')}")
+            e = int(exp) if exp else 1
+            if e > MAX_EXPONENT:
+                raise _token_error(text) or ExponentOverflow(f"exponent {e} too large")
+            e += exps[j]
+            if e > MAX_EXPONENT:
+                raise _token_error(text) or ExponentOverflow("exponent overflow in term")
+            exps[j] = e
+            state = 1
+        elif op == "*":
+            if state != 1:
+                raise _token_error(text) or PolynomialSyntaxError(
+                    "unexpected '*'", _position(text, k, "op"))
+            state = 2
+        elif nat:
+            coeff = coeff * int(nat) % p
+            state = 1
+        else:  # any other operator, or a stray character, ends the term
+            if state == 0:
+                raise _token_error(text) or PolynomialSyntaxError(
+                    "expected a term", _position(text, k, "op"))
+            if state == 2:
+                raise _token_error(text) or PolynomialSyntaxError(
+                    "dangling '*'", _position(text, k - 1, "op"))
+            if op == "^" and tokens[k - 1][2] and not tokens[k - 1][3]:  # no number after it
+                raise _token_error(text) or PolynomialSyntaxError(
+                    "expected exponent after '^'", _position(text, k, "op"))
+            if op != "+" and op != "-":
+                raise _token_error(text) or PolynomialSyntaxError(
+                    f"expected '+' or '-', got {op!r}", _position(text, k, "op"))
+            terms.append((tuple(exps), coeff))
+            coeff = 1 if op == "+" else p - 1
+            exps = [0] * n
+            state = 0
+    if state == 0:
+        raise _token_error(text) or PolynomialSyntaxError("expected a term", len(text))
+    if state == 2:
+        raise _token_error(text) or PolynomialSyntaxError(
+            "dangling '*'", _position(text, len(tokens) - 1, "op"))
+    terms.append((tuple(exps), coeff))
     return pring.from_terms(terms)

@@ -6,7 +6,11 @@ inputs; desk-scale inputs only (no F4/F5, no Hilbert-driven variants).
 
 Division pops terms from a heap of ``MonomialOrder.descending_key`` keys, so
 each term's order key is computed once, when the term first appears, instead
-of rescanning the remaining terms for their maximum at every step.
+of rescanning the remaining terms for their maximum at every step.  A
+divisor's reducer (inverse lead coefficient, tail terms, exponent slack) is
+prepared once per polynomial and order and kept on the polynomial, so the
+reductions of one ``buchberger`` run, and the membership tests that share a
+Groebner basis, prepare each basis element once.
 
 Colengths are counted column by column: along the variable with the largest
 pure-power bound, the standard monomials over each point of the remaining
@@ -63,17 +67,23 @@ class UnitIdeal(AlgebraError):
 INFINITE = float("inf")
 
 
-def _reducer(g: Polynomial, lm: tuple):
+def _reducer(g: Polynomial, order: MonomialOrder):
     """(inverse lead coefficient, tail terms, per-variable slack) of g.
 
+    Prepared once per polynomial and order, and kept on g beside its cached
+    lead, which clears it when the lead is recomputed for another order.
     A multiple g * x^shift stays inside the exponent envelope iff shift is
     at most the slack, MAX_EXPONENT minus g's largest exponent, in every
     variable.
     """
-    terms = g.terms
-    tail = [(gm, gc) for gm, gc in terms.items() if gm != lm]
-    slack = tuple(MAX_EXPONENT - max(col) for col in zip(*terms))
-    return g.ring.field.inv(terms[lm]), tail, slack
+    lm = g.leading_monomial(order)
+    r = g._reducer
+    if r is None:
+        terms = g.terms
+        tail = [(gm, gc) for gm, gc in terms.items() if gm != lm]
+        slack = tuple(MAX_EXPONENT - max(col) for col in zip(*terms))
+        r = g._reducer = (g.ring.field.inv(terms[lm]), tail, slack)
+    return r
 
 
 def _subtract_multiple(work: dict, heap: list, dkey, tail, slack, shift: tuple,
@@ -128,7 +138,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
             if all(map(le, lm, m)):
                 r = reducers[i]
                 if r is None:
-                    r = reducers[i] = _reducer(basis[i], lm)
+                    r = reducers[i] = _reducer(basis[i], order)
                 lc_inv, tail, slack = r
                 _subtract_multiple(work, heap, dkey, tail, slack, tuple(map(sub, m, lm)),
                                    c * lc_inv % p, p)
@@ -359,8 +369,8 @@ def _staircase_monomials(staircase) -> list:
 # Colons of zero-dimensional homogeneous ideals by linear algebra.
 
 def _monomials_of_degree(nvars: int, e: int) -> list:
-    """Every monomial of degree e, ascending in grevlex."""
-    if nvars == 0:
+    """Every monomial of degree e, ascending in grevlex; none when e < 0."""
+    if nvars == 0 or e < 0:
         return [()] if e == 0 else []
     # ascending grevlex within a degree: the last exponent falls first, then
     # the one before it, and so on
@@ -473,10 +483,7 @@ class _Quotient:
         for m in sorted(monomials, key=GREVLEX.descending_key, reverse=True):
             self.standard.setdefault(sum(m), []).append(m)
         self.top = max(self.standard, default=-1)
-        self.reducers = []
-        for g in gb:
-            lm = g.leading_monomial(GREVLEX)
-            self.reducers.append((lm, [(m, c) for m, c in g.terms.items() if m != lm]))
+        self.reducers = [(g.leading_monomial(GREVLEX), _reducer(g, GREVLEX)[1]) for g in gb]
 
     def table(self, e: int) -> dict:
         return _normal_form_table(self.reducers, set(self.standard[e]), self.nvars, e, self.p)
@@ -717,7 +724,7 @@ def divide_exact(f: Polynomial, g: Polynomial):
     ring = f.ring
     p = ring.field.p
     lg = g.leading_monomial(order)
-    cg_inv, tail, slack = _reducer(g, lg)
+    cg_inv, tail, slack = _reducer(g, order)
     work = dict(f.terms)
     heap, dkey = _term_heap(work, order)
     quotient: dict = {}

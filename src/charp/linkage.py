@@ -90,7 +90,7 @@ def _lift(f: Polynomial, b: Ideal) -> list:
     the coefficients of -c_j on the columns of b_j."""
     ring = b.ring.poly
     gens = b.lift_gens()
-    columns = [(j, u) for j, g in enumerate(gens) if g.degree() <= f.degree()
+    columns = [(j, u) for j, g in enumerate(gens)
                for u in _monomials_of_degree(ring.nvars, f.degree() - g.degree())]
     columns.append(None)
 

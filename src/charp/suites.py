@@ -332,20 +332,16 @@ def _suite_linkage_lift(ring, params, rng, rep):
             continue
         I = unmixed_part(I, rng)
         chain = []
-        current = I
+        J = I  # the end of the chain
         for _ in range(min(2, params["depth"])):
             try:
-                _, a = direct_link(current, rng=rng, check_unmixed=False)
+                J, a = direct_link(J, rng=rng, check_unmixed=False)
             except (ParameterSearchFailed, AlgebraError) as exc:
                 rep.skip(f"chain {k}: extend", str(exc))
                 break
             chain.append(a)
-            current = a.colon(current)
         if not chain:
             continue
-        J = I
-        for a in chain:
-            J = a.colon(J)
         for t in range(1, params["tmax"] + 1):
             try:
                 Jt = m_primary_link_lift(I, chain, t, rng)

@@ -1,8 +1,11 @@
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charp.core import (
     GREVLEX,
+    MAX_EXPONENT,
     AlgebraError,
     ExponentOverflow,
     MonomialOrder,
@@ -199,6 +202,142 @@ class TestParserErrorContract:
         except AlgebraError:
             return
         assert parse_polynomial(format_polynomial(f), R5) == f
+
+
+# The parser as it was before the single-scan rewrite: a tokenizer that
+# matches one token at a time, then a loop over the token list.  It is the
+# reference for the differential test below.
+_REF_TOKEN = re.compile(
+    r"\s*(?:(?P<nat>\d+)|(?P<var>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op>[-+*^()]))"
+)
+
+
+def reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise PolynomialSyntaxError(f"unexpected character {stripped[0]!r}", pos)
+        if m.lastgroup == "nat":
+            tokens.append(("nat", int(m.group("nat")), m.start("nat")))
+        elif m.lastgroup == "var":
+            tokens.append(("var", m.group("var"), m.start("var")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse(text, pring):
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise PolynomialSyntaxError("empty polynomial", 0)
+    n = pring.nvars
+    p = pring.field.p
+    i = 0
+
+    def parse_term(sign):
+        nonlocal i
+        coeff = sign
+        exps = [0] * n
+        saw_factor = False
+        expect_factor = True  # a factor must follow a '*'
+        while i < len(tokens):
+            kind, val, pos = tokens[i]
+            if kind == "nat":
+                coeff = (coeff * val) % p
+                saw_factor = True
+                expect_factor = False
+                i += 1
+            elif kind == "var":
+                if val not in pring.variables:
+                    raise UnknownVariableError(f"unknown variable {val!r} at position {pos}")
+                idx = pring.variables.index(val)
+                e = 1
+                i += 1
+                if i < len(tokens) and tokens[i][:2] == ("op", "^"):
+                    i += 1
+                    if i >= len(tokens) or tokens[i][0] != "nat":
+                        raise PolynomialSyntaxError("expected exponent after '^'",
+                                                    tokens[i - 1][2])
+                    e = tokens[i][1]
+                    if e > MAX_EXPONENT:
+                        raise ExponentOverflow(f"exponent {e} too large")
+                    i += 1
+                exps[idx] += e
+                if exps[idx] > MAX_EXPONENT:
+                    raise ExponentOverflow("exponent overflow in term")
+                saw_factor = True
+                expect_factor = False
+            elif kind == "op" and val == "*":
+                if expect_factor:
+                    raise PolynomialSyntaxError("unexpected '*'", pos)
+                expect_factor = True
+                i += 1
+            else:
+                break
+        if not saw_factor:
+            pos = tokens[i][2] if i < len(tokens) else len(text)
+            raise PolynomialSyntaxError("expected a term", pos)
+        if expect_factor:
+            raise PolynomialSyntaxError("dangling '*'", tokens[i - 1][2])
+        return tuple(exps), coeff % p
+
+    terms = []
+    sign = 1
+    if tokens[0][:2] == ("op", "-"):
+        sign = p - 1
+        i = 1
+    elif tokens[0][:2] == ("op", "+"):
+        i = 1
+    terms.append(parse_term(sign))
+    while i < len(tokens):
+        kind, val, pos = tokens[i]
+        if kind != "op" or val not in "+-":
+            raise PolynomialSyntaxError(f"expected '+' or '-', got {val!r}", pos)
+        i += 1
+        terms.append(parse_term(1 if val == "+" else p - 1))
+    return pring.from_terms(terms)
+
+
+def _outcome(parse, text, ring):
+    """The parsed terms, or the class, message and position of the error."""
+    try:
+        return ("ok", parse(text, ring).terms)
+    except AlgebraError as exc:
+        return (type(exc), str(exc), getattr(exc, "position", None))
+
+
+# Pieces of a random text: variables of R4 and two that are not (w; _ is no
+# name), digits (an Arabic-Indic three among them, which \d matches), an
+# exponent past the envelope, every operator, a stray character and spaces.
+_PIECES = ["x", "y", "z", "w", "x1", "_", "\u0663", "0", "2", "13", "99999999999",
+           "+", "-", "*", "^", "(", ")", "!", "\t", " ", "  "]
+R4 = PolyRing(5, ["x", "y", "z", "x1"])
+
+
+class TestParserAgainstReference:
+    """The single-scan parser accepts what the token-list parser accepted,
+    with the same polynomial, and rejects the rest with the same error class,
+    message and position: a stray character anywhere still wins over a
+    parse error that comes before it."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join))
+    @example("x ^ 2 * 13y - 2x1^13 + 4")
+    @example("x+y ! 2")
+    @example("x^^3")
+    @example("x^3^2")
+    @example("x ^ !")
+    @example("  x  +  ")
+    @example("w^99999999999")
+    @example("x^99999999999")
+    def test_same_outcome(self, text):
+        assert _outcome(parse_polynomial, text, R4) == _outcome(reference_parse, text, R4)
 
 
 class TestPolyRing:

@@ -19,6 +19,8 @@ from charp.groebner import (
     INFINITE,
     _PackedF2,
     _Quotient,
+    _monomials_of_degree,
+    _reducer,
     _s_polynomial,
     _staircase,
     _staircase_monomials,
@@ -138,6 +140,26 @@ class TestNormalForm:
             normal_form(R.parse("x*y"), basis, lex)
         assert normal_form(R.var("x"), basis, lex) == -R.monomial((0, MAX_EXPONENT))
 
+    def test_reducer_cache_follows_order(self):
+        # g's lead is 3*y^4 under grevlex, 2*x*y^2 under lex and x*z^3 under
+        # block(1).  A reducer kept from another order would put the lead
+        # back into the work and never finish, so its parts are checked
+        # before dividing.
+        R = PolyRing(5, ["x", "y", "z"])
+        g = R.parse("x*z^3+2*x*y^2+3*y^4+z^2+y")
+        h = R.parse("x*y+z")
+        f = g * h + R.parse("x^3*y^2+y*z+1")
+        for order in (GREVLEX, MonomialOrder.lex(), MonomialOrder.block(1), GREVLEX,
+                      MonomialOrder.lex()):
+            lm = max(g.terms, key=order.key)
+            lc_inv, tail, _ = _reducer(g, order)
+            assert lc_inv * g.terms[lm] % 5 == 1
+            assert dict(tail) == {m: c for m, c in g.terms.items() if m != lm}
+            want = reference_normal_form(f, [g], order)
+            assert list(normal_form(f, [g], order).terms.items()) == list(want.terms.items())
+            assert normal_form(g * h, [g], order).is_zero()
+            assert divide_exact(g * h, g) == h
+
 
 def reference_normal_form(f, basis, order):
     """Division by rescanning: reduce max(work) by the first divisible lead."""
@@ -184,6 +206,12 @@ def division_cases(draw):
     mono = st.tuples(*[st.integers(0, 3) for _ in range(nvars)])
     poly = st.lists(st.tuples(mono, st.integers(1, p - 1)), max_size=5).map(ring.from_terms)
     return order, draw(poly), draw(st.lists(poly, min_size=1, max_size=4))
+
+
+@pytest.mark.parametrize("nvars", range(5))
+@pytest.mark.parametrize("e", [-1, -2])
+def test_no_monomials_of_negative_degree(nvars, e):
+    assert _monomials_of_degree(nvars, e) == []
 
 
 class TestHeapDivisionAgainstRescan:
