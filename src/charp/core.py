@@ -525,14 +525,19 @@ def _position(text: str, k: int, group: str) -> int:
 
 
 def _token_error(text: str):
-    """Text's first tokenizing error: int's ValueError on an over-long digit
-    string (raised), or a stray character (returned, positioned at the start
-    of its token's leading whitespace).  None if there is neither."""
+    """Text's first tokenizing error, or None if there is none: a digit
+    string past int's max-str-digits limit (positioned at its first digit)
+    or a stray character (positioned at the start of its token's leading
+    whitespace)."""
     for m in _TOKEN.finditer(text):
         _, nat, _, exp, bad = m.groups()
-        int(nat or exp or 0)
         if bad:
             return PolynomialSyntaxError(f"unexpected character {bad!r}", m.start())
+        try:
+            int(nat or exp or 0)
+        except ValueError:
+            return PolynomialSyntaxError(f"number of {len(nat or exp)} digits is too long",
+                                         m.start("nat" if nat else "exp"))
     return None
 
 
@@ -563,7 +568,10 @@ def parse_polynomial(text: str, ring) -> Polynomial:
             if j is None:
                 raise _token_error(text) or UnknownVariableError(
                     f"unknown variable {var!r} at position {_position(text, k, 'var')}")
-            e = int(exp) if exp else 1
+            try:
+                e = int(exp) if exp else 1
+            except ValueError:  # past int's max-str-digits limit
+                raise _token_error(text) from None
             if e > MAX_EXPONENT:
                 raise _token_error(text) or ExponentOverflow(f"exponent {e} too large")
             e += exps[j]
@@ -577,7 +585,10 @@ def parse_polynomial(text: str, ring) -> Polynomial:
                     "unexpected '*'", _position(text, k, "op"))
             state = 2
         elif nat:
-            coeff = coeff * int(nat) % p
+            try:
+                coeff = coeff * int(nat) % p
+            except ValueError:
+                raise _token_error(text) from None
             state = 1
         else:  # any other operator, or a stray character, ends the term
             if state == 0:

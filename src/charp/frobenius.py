@@ -6,18 +6,16 @@ frobenius_preimage computes the largest ideal L with L^[q] inside K, i.e.
 {u : u^q in K}.  Root and preimage differ in general: (x^3) at p = 2 has
 root (x) but preimage (x^2).
 
-For a homogeneous lift of finite colength the preimage is the colon's
-linear-algebra kernel {u : u^q * B in K} with B = (1)
-(``groebner.frobenius_colon``, through ``rings.twisted_colon``): K plus, in
-each degree, the kernel of u -> NF(u^q) over K's standard monomials, with
-its reduced GB as generators.  Every other preimage is an elimination of
-the substitution ideal K + (y_i - x_i^q).
+The preimage is ``rings.twisted_colon`` with divisors (1), the one colon
+engine: for a homogeneous lift of finite colength, the linear-algebra
+kernel of u -> NF(u^q) over K's standard monomials, degree by degree
+(``groebner.frobenius_colon``), with its reduced GB as generators; for
+every other lift, an elimination of the substitution ideal K + (y_i - x_i^q).
 """
 
 from __future__ import annotations
 
-from .core import AlgebraError, ExponentOverflow, PolyRing, Polynomial, mono_pow
-from .groebner import eliminate, remap_polynomial
+from .core import AlgebraError, ExponentOverflow, Polynomial, mono_pow
 from .rings import Ideal, RingContext, twisted_colon
 
 MAX_E = 10
@@ -82,35 +80,12 @@ def frobenius_root(J: Ideal, e: int) -> Ideal:
     return Ideal(J.ring, gens)
 
 
-def _preimage_by_elimination(gb, q: int, ring: PolyRing) -> list:
-    """{u : u(x)^q in K} via K + (y_i - x_i^q), eliminating the x block."""
-    n = ring.nvars
-    names = ring.variables
-    aux = PolyRing(ring.field, names + tuple(f"{v}_q_" for v in names))
-    ident = list(range(n))
-    moved = [remap_polynomial(g, aux, ident) for g in gb]
-    for i in range(n):
-        moved.append(aux.var(n + i) - aux.var(i) ** q)
-    elim = eliminate(moved, list(range(n)), aux)
-    back = [None] * n + ident
-    return [remap_polynomial(g, ring, back) for g in elim]
-
-
 def frobenius_preimage(K: Ideal, e: int) -> Ideal:
     """The largest ideal L with L^[q] inside K, i.e. {u : u^q in K}.
 
     Computed on the lift in S (the lift contains the relation, so the
-    quotient case reduces to the polynomial one).  When the lift is
-    homogeneous of finite colength the colon's linear-algebra kernel
-    returns the reduced GB of the preimage, which becomes both its
-    generators and its basis; otherwise the substitution ideal is
-    eliminated.
+    quotient case reduces to the polynomial one) by ``twisted_colon`` with
+    divisors (1).
     """
     q = frobenius_q(K.ring, e)
-    if q == 1:
-        return K
-    ring = K.ring.poly
-    L = twisted_colon(K, [ring.one()], q)
-    if L is None:
-        L = Ideal(K.ring, _preimage_by_elimination(K.gb, q, ring))
-    return L
+    return K if q == 1 else twisted_colon(K, [K.ring.poly.one()], q)

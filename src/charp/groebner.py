@@ -21,10 +21,11 @@ walks the staircase's base instead of testing every point of the box.
 finite colength and homogeneous B.  S/A is a finite F_p-vector space, and
 u - NF(u) lies in A, so the result is A plus, in each degree d, the kernel
 of u -> (NF(u^q * b))_b over A's standard monomials u of degree d: Frobenius
-is additive, so the map is F_p-linear.  With q = 1 it is the colon A : B
-(``Ideal.colon``), with B = (1) the Frobenius preimage {u : u^q in A}
-(``frobenius.frobenius_preimage``), and with A = tau * I^[q], B = tau the
-approximation I_q (``singularity.iq_approx``); degree by degree, in the
+is additive, so the map is F_p-linear.  It is the first engine of
+``rings.twisted_colon``, which falls back to elimination for every other
+A and B.  With q = 1 it is the colon A : B, with B = (1) the Frobenius
+preimage {u : u^q in A}, and with A = tau * I^[q], B = tau the
+approximation I_q; degree by degree, in the
 spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16, 1993)
 and Marinari, Moeller & Mora (AAECC 4, 1993).  A normal-form table depends
 on its degree alone, so only the degrees q * d + deg b are tabulated.  The

@@ -73,7 +73,7 @@ def hk_table(I: Ideal, e_max: int, include_corner: bool = False,
         lb = bracket_power(I, e).colength()
         lc = None
         if include_corner:
-            lc = corner_power(I, e, samples=1, rng=rng).value.colength()
+            lc = corner_power(I, e, samples=1, rng=rng).colength()
         rows.append(LengthRow(e, q, lb, lc))
     d = I.ring.dim
     top = rows[-1]

@@ -135,15 +135,8 @@ def link_delta(a: Ideal, b: Ideal) -> Polynomial:
     return delta.monic()
 
 
-@dataclass(frozen=True)
-class CornerPowerResult:
-    value: Ideal
-    q: int
-    witnesses: tuple  # (a, J, candidate) triples; all candidates agree
-
-
 def corner_power(I: Ideal, e: int, samples: int = 2,
-                 rng: random.Random | None = None) -> CornerPowerResult:
+                 rng: random.Random | None = None) -> Ideal:
     """I^<q> = a^[q] : J^[q] with J = a : I, cross-checked over ``samples``
     independently sampled parameter ideals a.
 
@@ -153,20 +146,18 @@ def corner_power(I: Ideal, e: int, samples: int = 2,
     if rng is None:
         rng = random.Random(0xC02E2)
     q = frobenius_q(I.ring, e)
-    witnesses = []
+    candidates = []
     for _ in range(max(1, samples)):
         a = find_parameter_ideal(I, rng)
         J = a.colon(I)
-        candidate = bracket_power(a, e).colon(bracket_power(J, e))
-        witnesses.append((a, J, candidate))
-    value = witnesses[0][2]
-    for _, _, other in witnesses[1:]:
-        if other != value:
-            raise WellDefinednessViolation(
-                f"corner power of {I!r} at q={q} depends on the sample")
+        candidates.append(bracket_power(a, e).colon(bracket_power(J, e)))
+    value = candidates[0]
+    if any(other != value for other in candidates[1:]):
+        raise WellDefinednessViolation(
+            f"corner power of {I!r} at q={q} depends on the sample")
     if not value.contains_ideal(bracket_power(I, e)):
         raise AlgebraError("corner power lost the bracket-power containment")
-    return CornerPowerResult(value, q, tuple(witnesses))
+    return value
 
 
 def tilde_approx(I: Ideal, depth: int = 2, samples_per_node: int = 3,
@@ -207,8 +198,9 @@ def m_primary_link_lift(I: Ideal, chain, t: int,
     a_1..a_n from I, where x is a system of parameters modulo a common
     parameter ideal b inside the intersection of the a_i.
 
-    Verifies J (the untruncated end of the chain) sits inside J_t and that
-    (I, x^t) is m-primary; returns J_t.
+    Verifies that (I, x^t) is m-primary and returns J_t.  That J_t contains
+    J = a_n : (... (a_1 : I)), the untruncated end of the chain, is left to
+    the caller, which holds J already (the ``linkage-lift`` suite checks it).
     """
     if rng is None:
         rng = random.Random(0x117F7)
@@ -231,14 +223,9 @@ def m_primary_link_lift(I: Ideal, chain, t: int,
     def adjoin(A: Ideal) -> Ideal:
         return Ideal(ring, list(A.gens) + xt)
 
-    lifted = adjoin(I)
-    if not lifted.is_m_primary():
+    current = adjoin(I)
+    if not current.is_m_primary():
         raise AlgebraError("(I, x^t) is not m-primary")
-    current_t = lifted
-    current = I
     for a in chain:
-        current_t = adjoin(a).colon(current_t)
-        current = a.colon(current)
-    if not current_t.contains_ideal(current):
-        raise AlgebraError("J is not contained in J_t")
-    return current_t
+        current = adjoin(a).colon(current)
+    return current

@@ -6,6 +6,14 @@ hypersurface quotient R = S/(f) with f homogeneous.  Every ideal computation
 runs on the lift (generators + f) in S; two ideals of R are equal iff their
 lifted reduced Groebner bases coincide.
 
+``twisted_colon`` is the one colon engine: every colon, Frobenius preimage
+and approximation I_q is {u : u^q * B in A} for some A, B and q.  It tries,
+in order, the linear-algebra kernel ``groebner.frobenius_colon`` (B
+homogeneous, A's lift homogeneous of finite colength); A itself as A : B
+when B holds a nonzero constant; elimination (``_colon_gens``) for K = A : B;
+and for q > 1 then {u : u^q in K}, by the kernel again when K qualifies,
+else by elimination (``_preimage_by_elimination``).
+
 The parameter searches reject some random candidates without a Groebner
 basis.  When the target height is dim R, a candidate whose elements are
 homogeneous and vanish, together with the homogeneous lift they join, at a
@@ -110,6 +118,20 @@ def _colon_gens(gens_a, gens_b, ring: PolyRing):
             quotient.append(q)
         result = quotient if result is None else _intersect_gens(result, quotient, ring)
     return buchberger(result, GREVLEX, ring)
+
+
+def _preimage_by_elimination(gb, q: int, ring: PolyRing) -> list:
+    """{u : u(x)^q in K} via K + (y_i - x_i^q), eliminating the x block."""
+    n = ring.nvars
+    names = ring.variables
+    aux = PolyRing(ring.field, names + tuple(f"{v}_q_" for v in names))
+    ident = list(range(n))
+    moved = [remap_polynomial(g, aux, ident) for g in gb]
+    for i in range(n):
+        moved.append(aux.var(n + i) - aux.var(i) ** q)
+    elim = eliminate(moved, list(range(n)), aux)
+    back = [None] * n + ident
+    return [remap_polynomial(g, ring, back) for g in elim]
 
 
 class RingContext:
@@ -324,20 +346,9 @@ class Ideal:
         return Ideal(self.ring, gens)
 
     def colon(self, other: "Ideal") -> "Ideal":
-        """A : B = {u : uB in A}, computed on lifts.
-
-        When B is generated by homogeneous elements and the lifted reduced
-        GB of A is homogeneous of finite colength, the colon is the
-        linear-algebra kernel ``frobenius_colon`` at q = 1 (``twisted_colon``);
-        every other colon, positive-dimensional A included, is computed by
-        elimination.  Both give the same reduced GB.
-        """
+        """A : B = {u : uB in A}, computed on lifts by ``twisted_colon``."""
         self._same_ring(other)
-        colon = twisted_colon(self, other.gens)
-        if colon is None:
-            gens = _colon_gens(self.lift_gens(), list(other.gens), self.ring.poly)
-            colon = _with_reduced_gb(self.ring, gens)
-        return colon
+        return twisted_colon(self, other.gens)
 
 
 def _with_reduced_gb(ring: RingContext, gens) -> Ideal:
@@ -348,19 +359,26 @@ def _with_reduced_gb(ring: RingContext, gens) -> Ideal:
     return ideal
 
 
-def twisted_colon(A: Ideal, divisors, q: int = 1) -> Ideal | None:
-    """{u : u^q * (divisors) in A}, with its reduced GB as generators, by
-    ``frobenius_colon``; None unless the divisors are homogeneous and the
-    lifted reduced GB of A is homogeneous of finite colength.
-
-    At q = 1 it is the colon, with divisors (1) the Frobenius preimage.
-    """
-    if not all(b.is_homogeneous() for b in divisors):
-        return None
-    quotient = zero_dimensional_quotient(A.gb, A.ring.poly)
-    if quotient is None:
-        return None
-    return _with_reduced_gb(A.ring, frobenius_colon(quotient, divisors, q))
+def twisted_colon(A: Ideal, divisors, q: int = 1) -> Ideal:
+    """{u : u^q * (divisors) in A}: at q = 1 the colon, with divisors (1)
+    the Frobenius preimage.  Its engines, in order, are in the module
+    docstring; the generators are the reduced GB, except after a preimage
+    by elimination."""
+    ring = A.ring.poly
+    if all(b.is_homogeneous() for b in divisors):
+        quotient = zero_dimensional_quotient(A.gb, ring)
+        if quotient is not None:
+            return _with_reduced_gb(A.ring, frobenius_colon(quotient, divisors, q))
+    if any(b.is_constant() and not b.is_zero() for b in divisors):
+        K = A.gb
+    else:
+        K = _colon_gens(A.lift_gens(), list(divisors), ring)
+    if q == 1:
+        return _with_reduced_gb(A.ring, K)
+    quotient = zero_dimensional_quotient(K, ring)
+    if quotient is not None:
+        return _with_reduced_gb(A.ring, frobenius_colon(quotient, [ring.one()], q))
+    return Ideal(A.ring, _preimage_by_elimination(K, q, ring))
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +569,22 @@ def extend_to_m_primary(b: Ideal, rng: random.Random, max_tries: int = 80):
 def unmixed_part(I: Ideal, rng: random.Random | None = None, samples: int = 3) -> Ideal:
     """a : (a : I) for a sampled parameter ideal a in I of the same height.
 
-    The value is independent of the choice of a; ``samples`` independent
-    draws are cross-checked before returning.
+    The value is independent of the choice of a; ``samples`` draws are made
+    and the results of the distinct ones cross-checked before returning.
+    A draw equal to an earlier one (for a principal I every draw is I
+    itself) reuses its result.
     """
     if rng is None:
         rng = random.Random(0xA11CE)
     if I.is_unit():
         raise UnitIdeal("unmixed part of the unit ideal is undefined")
-    results = []
+    results = {}
     for _ in range(max(1, samples)):
         a = find_parameter_ideal(I, rng)
-        results.append(a.colon(a.colon(I)))
-    first = results[0]
-    if any(r != first for r in results[1:]):
+        if a.key() not in results:
+            results[a.key()] = a.colon(a.colon(I))
+    first, *rest = results.values()
+    if any(r != first for r in rest):
         raise AlgebraError("unmixed part disagreed across parameter samples")
     return first
 

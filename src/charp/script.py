@@ -87,7 +87,7 @@ _OPERATIONS = {
         "intersect": ((IDEAL, IDEAL), (), lambda run, A, B: A.intersect(B)),
         "bracket": ((IDEAL, POWER), (), lambda run, A, e: bracket_power(A, e)),
         "corner": ((IDEAL, POWER), (),
-                   lambda run, A, e: corner_power(A, e, samples=2, rng=run.rng).value),
+                   lambda run, A, e: corner_power(A, e, samples=2, rng=run.rng)),
         "link": ((IDEAL, IDEAL), (None,), lambda run, A, a: direct_link(A, a, run.rng)[0]),
         "star_colon": ((IDEAL,), (), lambda run, A: star_colon(A)),
         "iq": ((IDEAL, INTEGER), (), lambda run, A, e: iq_approx(A, e)),
@@ -152,9 +152,13 @@ class ScriptRunner:
         if m:
             if self.ring is not None:
                 raise ScriptError("ring already declared (single ring per script)")
+            digits = m.group("p")
             try:
                 variables = _split_args(m.group("vars"))
-                self.ring = RingContext(int(m.group("p")), variables, m.group("mod"))
+                self.ring = RingContext(int(digits), variables, m.group("mod"))
+            except ValueError:  # past int's max-str-digits limit
+                raise ScriptError(f"bad ring declaration: characteristic of "
+                                  f"{len(digits)} digits is too long")
             except AlgebraError as exc:
                 raise ScriptError(f"bad ring declaration: {exc}")
             return

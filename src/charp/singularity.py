@@ -10,7 +10,10 @@ generator count by about p^n per step.
 star_colon(I) = I : tau equals I^* exactly for ideals of finite projective
 dimension and is an upper bound in general.  The I_q chain of
 nonincreasing upper approximations and the certified non-membership check
-never claim exact tight closure unless both bounds meet.
+never claim exact tight closure unless both bounds meet.  Each I_q is one
+call of the colon engine ``rings.twisted_colon``: its linear-algebra kernel
+when tau I^[q] has a homogeneous lift of finite colength, elimination
+otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .core import AlgebraError, Polynomial
-from .frobenius import bracket_power, frobenius_preimage, frobenius_q, frobenius_root
+from .frobenius import bracket_power, frobenius_q, frobenius_root
 from .groebner import normal_form
 from .rings import Ideal, RingContext, poly_gcd, twisted_colon
 
@@ -140,18 +143,15 @@ def iq_approx(I: Ideal, e: int, tau: Ideal | None = None) -> Ideal:
     """I_q = {u : u^q tau in tau I^[q]}, the q-th upper approximation.
 
     With A = tau I^[q], I_q = {u : u^q t in A for each generator t of tau},
-    one run of the kernel of u -> (NF_A(u^q t))_t (``rings.twisted_colon``),
-    which needs the normal forms of the degrees q deg u + deg t alone.
-    When tau is not homogeneous or the lift of A is not homogeneous of
-    finite colength, I_q is the Frobenius preimage of the colon A : tau.
+    one call of ``rings.twisted_colon``.  When tau is homogeneous and the
+    lift of A is homogeneous of finite colength, that is one run of the
+    kernel of u -> (NF_A(u^q t))_t, which needs the normal forms of the
+    degrees q deg u + deg t alone; otherwise it is the Frobenius preimage
+    of the colon A : tau.
     """
     if tau is None:
         tau = test_ideal(I.ring).tau
-    A = tau * bracket_power(I, e)
-    Iq = twisted_colon(A, tau.gens, frobenius_q(I.ring, e))
-    if Iq is None:
-        Iq = frobenius_preimage(A.colon(tau), e)
-    return Iq
+    return twisted_colon(tau * bracket_power(I, e), tau.gens, frobenius_q(I.ring, e))
 
 
 @dataclass(frozen=True)

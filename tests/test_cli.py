@@ -119,6 +119,24 @@ class TestRunCommand:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("case", ["coefficient", "exponent", "characteristic",
+                                      "verify-ideal"])
+    def test_over_long_digit_string_is_one_line_exit_two(self, tmp_path, case):
+        # 4,301 digits: one past Python's default int max-str-digits limit
+        digits = "1" * 4301
+        f = tmp_path / "long.alg"
+        f.write_text({"coefficient": f"ring R = char 5 vars x, y;\nideal A = {digits}*x, y;",
+                      "exponent": f"ring R = char 5 vars x, y;\nideal A = x^{digits}, y;",
+                      "characteristic": f"ring R = char {digits} vars x, y;",
+                      "verify-ideal": ""}[case])
+        args = (["verify", "corner-welldef", "--ideal", f"{digits}*x,y"]
+                if case == "verify-ideal" else ["run", str(f)])
+        result = run_charp(args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "too long" in result.stderr
+        assert result.stdout == ""
+
     def test_json_report_written(self, tmp_path):
         f = tmp_path / "ok.alg"
         f.write_text(PASS_SCRIPT)

@@ -183,6 +183,15 @@ class TestParseFormat:
             R5.parse("x++y")
         assert isinstance(err.value.position, int)
 
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 4301 + "*x", 0), ("x + y^" + "1" * 4301, 6), ("x^2 + " + "2" * 4301, 6)],
+        ids=["coefficient", "exponent", "constant"])
+    def test_over_long_digit_string_is_positioned(self, text, position):
+        # past int's default max-str-digits limit of 4,300
+        with pytest.raises(PolynomialSyntaxError, match="4301 digits") as err:
+            R5.parse(text)
+        assert err.value.position == position
+
     def test_rejects_garbage(self):
         for bad in ("", "x^", "^2", "x**2", "(x+y)"):
             with pytest.raises(AlgebraError):

@@ -9,14 +9,13 @@ from charp import groebner, rings
 from charp.core import MAX_EXPONENT, ExponentOverflow, Polynomial
 from charp.frobenius import (
     QuotientContextUnsupported,
-    _preimage_by_elimination,
     bracket_power,
     frobenius_preimage,
     frobenius_q,
     frobenius_root,
 )
 from charp.groebner import buchberger
-from charp.rings import Ideal, RingContext
+from charp.rings import Ideal, RingContext, _preimage_by_elimination
 from oracle import random_homogeneous_dict
 
 

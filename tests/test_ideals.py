@@ -676,17 +676,27 @@ class TestColonDispatch:
         poly3.ideal("x^2", "y^2", "z^2").colon(poly3.ideal("x+y^2"))
         assert paths == ["_colon_gens"]
 
+    def test_unit_divisor_takes_no_elimination(self, paths, fermat2):
+        # A : (1) = A, with A's reduced GB as generators, as elimination
+        # would return them
+        A = fermat2.ideal("x^2", "x*y")
+        colon = A.colon(fermat2.ideal("x", "1"))
+        assert paths == []
+        assert list(colon.gens) == A.gb
+        assert A.gb == rings._colon_gens(A.lift_gens(), [fermat2.poly.one()],
+                                         fermat2.poly)
+
 
 class TestIqDispatch:
     """``iq_approx`` runs one twisted kernel when tau I^[q] has a homogeneous
-    lift of finite colength, and the colon-then-preimage path otherwise."""
+    lift of finite colength, and the elimination colon, then the elimination
+    preimage, otherwise."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
         taken = []
-        for owner, name in ((rings, "frobenius_colon"), (rings, "_colon_gens"),
-                            (rings.Ideal, "colon"), (singularity, "frobenius_preimage")):
-            _spy(monkeypatch, taken, owner, name)
+        for name in ("frobenius_colon", "_colon_gens", "_preimage_by_elimination"):
+            _spy(monkeypatch, taken, rings, name)
         return taken
 
     @pytest.fixture
@@ -702,5 +712,22 @@ class TestIqDispatch:
     def test_non_m_primary_takes_colon_then_preimage(self, fermat2, tau, paths):
         I = fermat2.ideal("x")
         Iq = singularity.iq_approx(I, 2, tau)
-        assert paths == ["colon", "_colon_gens", "frobenius_preimage"]
+        assert paths == ["_colon_gens", "_preimage_by_elimination"]
         assert Iq.contains_ideal(I)
+
+
+def test_linkage_lift_repeats_no_elimination_colon(monkeypatch):
+    # each elimination colon of a seed-1 ``linkage-lift`` pass is asked once
+    from charp.suites import verify_suite
+    asked = []
+    original = rings._colon_gens
+
+    def spy(gens_a, gens_b, ring):
+        dividend = buchberger(gens_a, ring=ring)
+        asked.append((tuple(g.canonical_terms() for g in dividend),
+                      tuple(b.canonical_terms() for b in gens_b)))
+        return original(gens_a, gens_b, ring)
+    monkeypatch.setattr(rings, "_colon_gens", spy)
+    verify_suite("linkage-lift", {"seed": 1})
+    assert asked
+    assert len(asked) == len(set(asked))
