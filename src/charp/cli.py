@@ -5,7 +5,9 @@ script, with the same arguments and exit codes.
 
 Exit codes: 0 all checks pass, 1 at least one assertion/check failed,
 2 input error (bad script, bad ring, unknown suite, a script that cannot
-be read or is not UTF-8, a --json path that cannot be written).
+be read or is not UTF-8, a --json path that cannot be written, a bad
+option).  Every input error is one ``error:`` line on stderr; a bad option
+prints no usage block, and an over-long option value is not echoed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,27 @@ from .suites import (
 def _input_error(message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+# an option value longer than this is named by its length alone
+_MAX_SHOWN = 40
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        _input_error(message)
+        raise SystemExit(2)
+
+
+def _integer(text: str) -> int:
+    """The value of an integer option."""
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or past int's max-str-digits limit
+        shown = repr(text) if len(text) <= _MAX_SHOWN else f"a value of {len(text)} characters"
+        raise argparse.ArgumentTypeError(f"expected an integer, got {shown}")
 
 
 def _write_json(report: dict, path: str | None) -> bool:
@@ -86,7 +109,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alg",
         description="characteristic-p commutative algebra toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,22 +118,22 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     run.add_argument("--json", metavar="OUT",
                      help="write the JSON report to OUT ('-' for stdout)")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_integer, default=0)
     run.set_defaults(func=_cmd_run)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=SUITE_NAMES)
     verify.add_argument("--ring", help="built-in ring name (default fermat2)")
     verify.add_argument("--ideal", help="comma-separated generators")
-    verify.add_argument("--qmax", type=int, default=None,
+    verify.add_argument("--qmax", type=_integer, default=None,
                         help="largest Frobenius exponent e (default 3)")
-    verify.add_argument("--depth", type=int, default=None)
-    verify.add_argument("--samples", type=int, default=None)
-    verify.add_argument("--tmax", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--depth", type=_integer, default=None)
+    verify.add_argument("--samples", type=_integer, default=None)
+    verify.add_argument("--tmax", type=_integer, default=None)
+    verify.add_argument("--seed", type=_integer, default=0)
     verify.add_argument("--json", metavar="OUT",
                         help="write the JSON report to OUT ('-' for stdout)")
-    verify.add_argument("--p", type=int, help="characteristic (custom ring)")
+    verify.add_argument("--p", type=_integer, help="characteristic (custom ring)")
     verify.add_argument("--vars", help="comma-separated variables (custom ring)")
     verify.add_argument("--mod", help="hypersurface relation (custom ring)")
     verify.set_defaults(func=_cmd_verify)

@@ -14,6 +14,15 @@ when B holds a nonzero constant; elimination (``_colon_gens``) for K = A : B;
 and for q > 1 then {u : u^q in K}, by the kernel again when K qualifies,
 else by elimination (``_preimage_by_elimination``).
 
+Membership and reduction read a table of monomial normal forms kept on each
+Ideal.  Modulo a Groebner basis G every f has one normal form NF(f), the
+remainder that no lead of G divides, and NF is F_p-linear: f - NF(f) and
+g - NF(g) lie in the ideal, so NF(f) + c*NF(g) is a reduced representative
+of f + c*g and hence its normal form.  So NF(f) = sum c_m * NF(m) over the
+terms c_m * m of f, and the table stores NF(m) once per monomial m met,
+computed by ``normal_form`` on m itself.  The sum equals ``normal_form(f, G)``
+term for term; it only skips the repeated divisions.
+
 The parameter searches reject some random candidates without a Groebner
 basis.  When the target height is dim R, a candidate whose elements are
 homogeneous and vanish, together with the homogeneous lift they join, at a
@@ -219,7 +228,7 @@ class Ideal:
     always a member, so carrying it among generators is harmless).
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_height")
+    __slots__ = ("ring", "gens", "_gb", "_height", "_nf")
 
     def __init__(self, ring: RingContext, gens):
         self.ring = ring
@@ -234,6 +243,10 @@ class Ideal:
         self.gens = tuple(checked)
         self._gb = None
         self._height = None
+        # monomial -> NF(monomial) mod _gb as (monomial, coefficient) pairs;
+        # exact only because _gb never changes once set (``gb`` and
+        # ``_with_reduced_gb`` are its only writers)
+        self._nf = {}
 
     # -- canonical basis ------------------------------------------------------
 
@@ -271,15 +284,28 @@ class Ideal:
     # -- predicates -----------------------------------------------------------
 
     def contains(self, f) -> bool:
+        """f in I, for a Polynomial or its text: ``reduce(f)`` is zero."""
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.ring != self.ring.poly:
             raise RingMismatch("element from a different ring")
-        return normal_form(f, self.gb).is_zero()
+        return self.reduce(f).is_zero()
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        """Normal form of f against the lifted GB (canonical representative)."""
-        return normal_form(f, self.gb)
+        """Normal form of f against the lifted GB (canonical representative),
+        summed from the table of monomial normal forms (module docstring)."""
+        gb, table = self.gb, self._nf
+        ring = self.ring.poly
+        p = ring.field.p
+        acc: dict = {}
+        for m, c in f.terms.items():
+            row = table.get(m)
+            if row is None:
+                nf = normal_form(Polynomial(ring, {m: 1}), gb)
+                row = table[m] = list(nf.terms.items())
+            for t, d in row:
+                acc[t] = acc.get(t, 0) + c * d
+        return Polynomial(ring, {t: v % p for t, v in acc.items() if v % p})
 
     def contains_ideal(self, other: "Ideal") -> bool:
         self._same_ring(other)

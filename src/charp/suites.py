@@ -450,12 +450,16 @@ def verify_suite(name: str, params: dict | None = None) -> dict:
     params = dict(params or {})
     seed = int(params.pop("seed", 0))
     ring = params.pop("ring", None)
+    p = params.pop("p", None)
+    variables = params.pop("vars", None)
+    mod = params.pop("mod", None)
+    if ring is not None and (p, variables, mod) != (None, None, None):
+        raise AlgebraError("--ring takes no --p, --vars or --mod")
+    if p is None and (variables, mod) != (None, None):
+        raise AlgebraError("--vars and --mod need --p")
+    if ring is None and p is None:
+        ring = "fermat2"
     if not isinstance(ring, RingContext):
-        p = params.pop("p", None)
-        variables = params.pop("vars", None)
-        mod = params.pop("mod", None)
-        if ring is None and p is None:
-            ring = "fermat2"
         ring = make_ring(ring, p, variables, mod)
     ideal_text = params.pop("ideal", None)
     if ideal_text and not takes_ideal:

@@ -179,6 +179,35 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.endswith("must be non-negative, got -1\n")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["run", "script.alg", "--seed"],
+        ["verify", "decr", "--seed"],
+        ["verify", "decr", "--p"],
+        ["verify", "decr", "--qmax"],
+        ["verify", "decr", "--depth"],
+        ["verify", "decr", "--samples"],
+        ["verify", "decr", "--tmax"],
+    ], ids=lambda args: f"{args[0]}{args[-1]}")
+    @pytest.mark.parametrize("value", ["abc", "1" * 4301], ids=["word", "4301-digits"])
+    def test_bad_integer_option_is_one_line_exit_two(self, args, value):
+        result = run_charp(args + [value])
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: argument {args[-1]}: expected an integer")
+        assert result.stderr.count("\n") == 1
+        assert len(result.stderr) < 100
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--vars", "x,y"], "--vars and --mod need --p"),
+        (["--mod", "x^2"], "--vars and --mod need --p"),
+        (["--ring", "fermat2", "--p", "3", "--vars", "x,y"],
+         "--ring takes no --p, --vars or --mod"),
+        (["--ring", "poly2_2", "--mod", "x^2"], "--ring takes no --p, --vars or --mod"),
+    ], ids=["vars-alone", "mod-alone", "ring-and-p", "ring-and-mod"])
+    def test_ring_flags_are_not_dropped(self, flags, message, capsys):
+        assert main(["verify", "decr", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_ideal_for_a_suite_without_one_is_input_error(self, capsys):
         assert main(["verify", "higher", "--ideal", "x"]) == 2
         assert capsys.readouterr().err == "error: suite 'higher' takes no --ideal\n"

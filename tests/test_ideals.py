@@ -731,3 +731,116 @@ def test_linkage_lift_repeats_no_elimination_colon(monkeypatch):
     verify_suite("linkage-lift", {"seed": 1})
     assert asked
     assert len(asked) == len(set(asked))
+
+
+# ---------------------------------------------------------------------------
+# Membership and reduction from the table of monomial normal forms, against
+# a fresh division of the whole polynomial and the brute-force oracle.
+
+def _random_form(ring: PolyRing, degree: int, homogeneous: bool,
+                 rng: random.Random) -> Polynomial:
+    """A random polynomial of degree at most ``degree``, all of it in that
+    degree when ``homogeneous``; it may come out zero."""
+    terms = {m: rng.randrange(ring.field.p)
+             for m in itertools.product(range(degree + 1), repeat=ring.nvars)
+             if sum(m) == degree or (not homogeneous and sum(m) < degree)}
+    return Polynomial(ring, {m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def membership_cases(draw):
+    """(I, queries, homogeneous): I is the zero ideal, the unit ideal, an
+    ideal of 1-3 random generators (mostly positive-dimensional), one with
+    the pure powers x_i^b among them (zero-dimensional), or a colon A : B
+    of such ideals, whose GB ``_with_reduced_gb`` sets; in F_p[x,...] with
+    p in {2, 3, 5, 7} and 1-4 variables, or in a hypersurface ring of it.
+    The queries are members, random elements and their sums, each twice, in
+    a shuffled order."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.integers(1, 4))
+    homogeneous = draw(st.booleans())
+    kind = draw(st.sampled_from(["zero", "unit", "gens", "zero-dim", "colon"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    poly = PolyRing(p, VARS[:nvars])
+    relation = None
+    if nvars >= 2 and draw(st.booleans()):
+        relation = _random_form(poly, rng.randint(2, 3), True, rng)
+    try:
+        ring = RingContext(p, VARS[:nvars], relation)
+    except AlgebraError:
+        assume(False)  # zero, or a p-th power
+
+    def forms(count, lo=1, hi=3):
+        return [_random_form(poly, rng.randint(lo, hi), homogeneous, rng)
+                for _ in range(count)]
+
+    def zero_dim():
+        return [poly.var(i) ** rng.randint(2, 4) for i in range(nvars)] + \
+            forms(rng.randint(0, 2))
+    if kind == "zero":
+        I = ring.zero_ideal()
+    elif kind == "unit":
+        I = Ideal(ring, forms(rng.randint(0, 2)) + [poly.const(rng.randint(1, p - 1))])
+    elif kind == "gens":
+        I = Ideal(ring, forms(rng.randint(1, max(1, nvars - 1))))
+    elif kind == "zero-dim":
+        I = Ideal(ring, zero_dim())
+    else:
+        # homogeneous, so that the colon takes the kernel: an elimination
+        # colon of random inhomogeneous ideals in four variables can run
+        # for minutes
+        homogeneous = True
+        I = Ideal(ring, zero_dim()).colon(Ideal(ring, forms(rng.randint(1, 2), 0, 2)))
+        assert I._gb is not None
+    members = []
+    for _ in range(3):
+        combination = poly.zero()
+        for g in I.lift_gens():
+            combination = combination + _random_form(poly, rng.randint(0, 1), homogeneous, rng) * g
+        members.append(combination)
+    others = forms(3, 0, 4)
+    queries = members + others + [m + o for m, o in zip(members, others)]
+    return I, draw(st.permutations(queries * 2)), homogeneous
+
+
+class TestNormalFormTable:
+    @settings(max_examples=150, deadline=None)
+    @given(membership_cases())
+    def test_same_as_dividing_the_whole_polynomial(self, case):
+        I, queries, homogeneous = case
+        ring = I.ring.poly
+        lifted = [poly_to_dict(g) for g in I.lift_gens()]
+        for f in queries:
+            expected = groebner.normal_form(f, I.gb)
+            assert I.reduce(f) == expected
+            assert I.contains(f) == expected.is_zero()
+            if f.degree() <= 3:
+                # exact for homogeneous generators; otherwise only its True
+                # is definitive
+                verdict = oracle_member(poly_to_dict(f), lifted, ring.nvars, ring.field.p)
+                if homogeneous:
+                    assert I.contains(f) == verdict
+                elif verdict:
+                    assert I.contains(f)
+
+    def test_colon_by_elimination(self, fermat2):
+        I = fermat2.ideal("x^2+y", "x*y").colon(fermat2.ideal("x"))
+        assert I._gb is not None
+        for text in ("x+y", "y^2+x*y", "x*z+y*z", "z^3", "x+y", "z^3"):
+            f = fermat2.parse(text)
+            assert I.reduce(f) == groebner.normal_form(f, I.gb)
+
+    def test_second_read_of_seen_monomials_divides_nothing(self, fermat2, monkeypatch):
+        I = fermat2.ideal("x^2+y*z", "y^2")
+        first = fermat2.parse("x^3+x*y^2+y*z^2+z")
+        second = fermat2.parse("x^3+y*z^2")
+        expected = [groebner.normal_form(f, I.gb) for f in (first, second)]
+        calls = []
+        _spy(monkeypatch, calls, rings, "normal_form")
+        assert I.reduce(first) == expected[0]
+        assert calls
+        calls.clear()
+        assert I.reduce(second) == expected[1]
+        assert I.contains(second) == expected[1].is_zero()
+        assert not I.contains_ideal(Ideal(fermat2, [first, second]))
+        assert calls == []

@@ -97,11 +97,11 @@ def _ring(p, variables, relation):
 
 
 @st.composite
-def nested_parameter_pairs(draw):
+def nested_parameter_pairs(draw, rings=_RINGS):
     """(a, b): b a parameter ideal in m, a one inside b drawn with a degree
-    bump of 1 or 2, so that a != b."""
-    p = draw(st.sampled_from(sorted(_RINGS)))
-    ring = _ring(p, *draw(st.sampled_from(_RINGS[p])))
+    bump of 1 or 2, so that a != b; the ring is one of ``rings``."""
+    p = draw(st.sampled_from(sorted(rings)))
+    ring = _ring(p, *draw(st.sampled_from(rings[p])))
     rng = random.Random(draw(st.integers(0, 2 ** 20)))
     try:
         b = find_parameter_ideal(ring.maximal_ideal(), rng)
@@ -163,6 +163,41 @@ class TestLinkDeltaClosedForm:
     def test_rejects(self, poly3, a, b, message):
         with pytest.raises(AlgebraError, match=message):
             link_delta(poly3.ideal(*a), poly3.ideal(*b))
+
+
+# the rings of ``_RINGS`` at p = 2, 3, 5; a^[q] has q^dim times a's colength
+_BRACKET_RINGS = {p: _RINGS[p] for p in (2, 3, 5)}
+# those of dimension 2 at p = 3
+_DIM2_AT_3 = {3: [(v, f) for v, f in _RINGS[3] if len(v) - (f is not None) == 2]}
+
+
+def _check_bracket_colon(a, b, e):
+    """a^[q] : b^[q] = (a^[q], delta^q): with a = M * b, a^[q] = M^[q] * b^[q]
+    are nested parameter ideals again, det M^[q] = (det M)^q, and det M is
+    a unit times delta modulo a."""
+    q = a.ring.field.p ** e
+    aq = bracket_power(a, e)
+    assert aq.colon(bracket_power(b, e)) == aq + Ideal(a.ring, [link_delta(a, b) ** q])
+
+
+class TestBracketPowerColon:
+    """Northcott's closed form at bracket powers, a reference for the colon
+    at colengths q^dim times a's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(nested_parameter_pairs(_BRACKET_RINGS), st.data())
+    def test_closed_form(self, pair, data):
+        a, b = pair
+        e = data.draw(st.integers(1, 2 if a.ring.field.p == 2 else 1))
+        _check_bracket_colon(a, b, e)
+
+    @pytest.mark.slow
+    @settings(max_examples=5, deadline=None)
+    @given(nested_parameter_pairs(_DIM2_AT_3))
+    def test_closed_form_at_q_9(self, pair):
+        # dimension 2 at p = 3 only, up to 1.6 s an example: at p = 5, q = 25
+        # one example took up to a minute
+        _check_bracket_colon(*pair, 2)
 
 
 class TestCornerPower:

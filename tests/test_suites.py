@@ -84,6 +84,21 @@ class TestParamPlumbing:
         with pytest.raises(AlgebraError, match="takes no --ideal"):
             verify_suite(suite, {"seed": 0, "ideal": "x"})
 
+    @pytest.mark.parametrize("params, message", [
+        ({"vars": ["x", "y"]}, "need --p"),
+        ({"mod": "x^3+y^3+z^3"}, "need --p"),
+        ({"ring": "fermat2", "p": 3, "vars": ["x", "y"]}, "--ring takes no"),
+        ({"ring": "poly2_3", "mod": "x^3+y^3+z^3"}, "--ring takes no"),
+        ({"ring": make_ring("poly2_2"), "p": 2}, "--ring takes no"),
+    ], ids=["vars-alone", "mod-alone", "ring-and-p", "ring-and-mod", "context-and-p"])
+    def test_ring_flags_are_not_dropped(self, params, message):
+        with pytest.raises(AlgebraError, match=message):
+            verify_suite("decr", {"seed": 0, **params})
+
+    def test_ring_context_runs_as_given(self):
+        report = verify_suite("decr", {"ring": make_ring("poly2_2"), "emax": 1})
+        assert report["params"]["ring"] == {"p": 2, "vars": ["x", "y"], "mod": None}
+
     def test_defaults_recorded(self):
         report = verify_suite("paper-example", {"seed": 0})
         p = report["params"]
