@@ -11,6 +11,7 @@ root:
     python scripts/make_golden.py --seed 1                 # one pinned pair
     python scripts/make_golden.py --ring poly2_3           # one pinned pair
     python scripts/make_golden.py --ring fermat5           # one pinned pair
+    python scripts/make_golden.py --ring quartic3          # one pinned pair
     python scripts/make_golden.py --ring poly2_2 --seed 2 --out DIR
 
 ``--ring`` defaults to fermat2 and ``--seed`` to 0.  Regenerating the pinned
@@ -32,12 +33,16 @@ from charp.suites import SUITE_NAMES, report_to_json, verify_suite  # noqa: E402
 _DIR = os.path.join(ROOT, "tests", "golden")
 
 # rings pinned here that are not built in, as ``verify_suite`` parameters:
-# the Fermat cubic at p = 5, where I_q runs up to q = 125
-RINGS = {"fermat5": {"p": 5, "vars": ["x", "y", "z"], "mod": "x^3+y^3+z^3"}}
+# the Fermat cubic at p = 5, where I_q runs up to q = 125, and the Fermat
+# quartic at p = 3, whose test ideal is m^2 rather than m
+RINGS = {"fermat5": {"p": 5, "vars": ["x", "y", "z"], "mod": "x^3+y^3+z^3"},
+         "quartic3": {"p": 3, "vars": ["x", "y", "z"], "mod": "x^4+y^4+z^4"}}
 
 # the suites of a ring pinned on fewer than all 13: on fermat5 the
-# corner-power suites take over 40 s each
-SUITES = {"fermat5": ("decr", "main-theorem")}
+# corner-power suites take over 40 s each; on quartic3 these three reach
+# the branches that tau = m leaves trivial on fermat2
+SUITES = {"fermat5": ("decr", "main-theorem"),
+          "quartic3": ("higher", "lit", "max-in-class")}
 
 # (ring, suite seed) -> directory of its golden reports; seed 1 is the
 # suite seed of the ``suites`` benchmark, and on poly2_3 the parameter
@@ -45,7 +50,8 @@ SUITES = {"fermat5": ("decr", "main-theorem")}
 GOLDEN = {("fermat2", 0): _DIR,
           ("fermat2", 1): os.path.join(_DIR, "seed1"),
           ("poly2_3", 0): os.path.join(_DIR, "poly2_3"),
-          ("fermat5", 0): os.path.join(_DIR, "fermat5")}
+          ("fermat5", 0): os.path.join(_DIR, "fermat5"),
+          ("quartic3", 0): os.path.join(_DIR, "quartic3")}
 
 
 def golden_text(suite: str, seed: int, ring: str = "fermat2") -> str:

@@ -2,7 +2,9 @@
 byte-identical to the committed files: on fermat2, tests/golden at seed 0
 and tests/golden/seed1 at seed 1, the suite seed of the ``suites``
 benchmark; on poly2_3, tests/golden/poly2_3 at seed 0.  On the Fermat cubic
-at p = 5, ``decr`` and ``main-theorem`` at seed 0 match tests/golden/fermat5.
+at p = 5, ``decr`` and ``main-theorem`` at seed 0 match tests/golden/fermat5;
+on the Fermat quartic at p = 3, where tau = m^2, ``higher``, ``lit`` and
+``max-in-class`` at seed 0 match tests/golden/quartic3.
 
 The (ring, seed) pairs and their directories are ``GOLDEN`` in
 ``scripts/make_golden.py``, and ``SUITES`` there names the suites of a ring
