@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .core import AlgebraError
-from .script import ScriptError, run_script
+from .script import ScriptError, _shown, run_script
 from .suites import (
     SUITE_NAMES,
     UnknownSuite,
@@ -29,10 +29,6 @@ from .suites import (
 def _input_error(message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-# an option value longer than this is named by its length alone
-_MAX_SHOWN = 40
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,8 +44,7 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # not an integer, or past int's max-str-digits limit
-        shown = repr(text) if len(text) <= _MAX_SHOWN else f"a value of {len(text)} characters"
-        raise argparse.ArgumentTypeError(f"expected an integer, got {shown}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_shown(text)}")
 
 
 def _write_json(report: dict, path: str | None) -> bool:

@@ -30,20 +30,23 @@ spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16, 1993)
 and Marinari, Moeller & Mora (AAECC 4, 1993).  A normal-form table depends
 on its degree alone, so only the degrees q * d + deg b are tabulated.  The
 reduced basis is read off the kernels, which come out in reduced row
-echelon form, and equals ``buchberger``'s.  Over F_2 the per-degree kernels
-run on rows packed into ints, one bit per standard monomial, so adding two
-rows is one XOR (the M4RI idea of Albrecht & Bard), and table keys are
-ints, so multiplying monomials is one integer addition.  Odd p keeps
-{monomial: coefficient} dicts: a row addition there is a multiply and a
-reduction mod p per entry, which no single operation on a packed int
-performs.
+echelon form, and equals ``buchberger``'s.  The per-degree kernels run on
+rows packed into ints, one field per standard monomial, and table keys are
+ints, so multiplying monomials is one integer addition.  Over F_2 a field
+is one bit and adding two rows is one XOR (the M4RI idea of Albrecht &
+Bard).  Over odd p a field has b = bitlen(p(p - 1)) + 1 bits, as in
+Harvey's Kronecker packing (J. Symb. Comp. 44, 2009): y + c * x is one
+integer addition and one multiplication, after which every field holds at
+most p(p - 1) < 2^(b-1), and a few masked operations on the whole int
+bring each field back below p (``_normaliser``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from operator import add, le, mul, sub
+from functools import reduce
+from operator import add, le, mul, or_, sub
 
 from .core import (
     GREVLEX,
@@ -57,7 +60,6 @@ from .core import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    mono_pow,
 )
 
 
@@ -381,68 +383,106 @@ def _monomials_of_degree(nvars: int, e: int) -> list:
     return [(e - sum(t),) + t for t in tails]
 
 
-def _normal_form_table(reducers, standard: set, nvars: int, e: int, p: int) -> dict:
-    """Normal form, as {standard monomial: coefficient}, of every degree-e monomial.
+def _width(p: int) -> int:
+    """Bits per field of a packed row over F_p: 1 at p = 2, where rows add by
+    XOR; else bitlen(p(p - 1)) + 1, so y + c * x <= p(p - 1) keeps its top bit 0."""
+    return 1 if p == 2 else (p * (p - 1)).bit_length() + 1
 
-    ``reducers`` holds (lead, tail terms) of a homogeneous monic Groebner
-    basis.  A non-standard m = x^c * lead(g) has NF(m) = -sum c_t NF(x^c * t)
-    over g's tail terms t; each x^c * t is smaller than m, so walking the
-    monomials in ascending grevlex finds its normal form already computed.
+
+def _fields(v: int, b: int):
+    """(index, value) of each nonzero b-bit field of v, lowest first."""
+    mask = (1 << b) - 1
+    while v:
+        i = ((v & -v).bit_length() - 1) // b
+        c = v >> i * b & mask
+        yield i, c
+        v ^= c << i * b
+
+
+def _bits(v: int):
+    """Indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
+
+def _normaliser(p: int, fields: int):
+    """z -> z with each of its first ``fields`` fields reduced mod p, for odd
+    p and a packed z whose fields hold at most p(p - 1).
+
+    Adding 2^(b-1) - s to every field sets a field's top bit iff the field
+    is at least s, and carries into no neighbour, since both summands are
+    below 2^(b-1); subtracting s from the flagged fields, for s = p * 2^j
+    from the largest one at most p(p - 1) down to p, leaves each below p.
     """
-    table = {}
-    for m in _monomials_of_degree(nvars, e):
-        if m in standard:
-            table[m] = {m: 1}
-            continue
-        for lm, tail in reducers:
-            if all(map(le, lm, m)):
-                break
-        shift = tuple(map(sub, m, lm))
-        acc: dict = {}
-        for t, c in tail:
-            for s, v in table[tuple(map(add, t, shift))].items():
-                acc[s] = acc.get(s, 0) + c * v
-        table[m] = {s: -v % p for s, v in acc.items() if v % p}
-    return table
+    b = _width(p)
+    ones = ((1 << fields * b) - 1) // ((1 << b) - 1)
+    high = ones << b - 1
+    steps = [(((1 << b - 1) - s) * ones, s)
+             for s in (p << j for j in reversed(range((p - 1).bit_length())))]
+
+    def normal(z: int) -> int:
+        for bias, s in steps:
+            z -= (((z + bias) & high) >> b - 1) * s
+        return z
+    return normal
 
 
-def _narrow_kernel(kernel, standard: list, image, p: int) -> list:
-    """Basis of {v in span(kernel) : sum of v_u * image(u) over u is 0}.
+def _narrow(kernel, n: int, image, p: int) -> list:
+    """Basis of {v in span(kernel) : sum of v_i * image(i) over i is 0}.
 
-    Vectors are {standard monomial: coefficient} dicts of one degree;
-    ``kernel`` None stands for all of span(standard), and ``image`` maps a
-    standard monomial to its image, a dict over F_p.  Sparse Gaussian
-    elimination on the images tracks the row combinations; those whose
-    image vanishes span the kernel.
+    Vectors are packed rows over n columns, field i for column i, and
+    ``kernel`` None stands for the n unit vectors; ``image(i)`` is column
+    i's image, a packed row too.  A row is image << n fields | combination:
+    eliminating on the image's top field carries the combination along,
+    and the rows whose image vanishes span the kernel.
 
-    If ``kernel`` is in reduced row echelon form with ascending pivots, as
-    unit vectors in ascending grevlex are, so is the result: each kept
-    vector is its input plus a combination of earlier inputs, all of which
-    became image pivots, so its largest monomial is its input's pivot, with
-    coefficient 1, and no other kept vector meets it.
+    If ``kernel`` is in reduced row echelon form with ascending pivots, each
+    a vector's top field, with value 1, as unit vectors are, so is the
+    result: each kept vector is its input plus a combination of earlier
+    inputs, all of which became image pivots, so its top field is its
+    input's, and no other kept vector meets it.
     """
+    b = _width(p)
+    shift = n * b
     if kernel is None:
-        kernel = [{u: 1} for u in standard]
-    images = {u: image(u) for u in {u for v in kernel for u in v}}
-    pivots = []  # (pivot key, image with coefficient 1 there, combination)
+        kernel = [1 << i * b for i in range(n)]
+    support = reduce(or_, kernel, 0)
+    indices = _bits(support) if p == 2 else (i for i, _ in _fields(support, b))
+    images = {i: image(i) << shift for i in indices}
+    pivots: dict = {}  # top field -> row with value 1 there
     narrowed = []
+    if p == 2:
+        for vec in kernel:
+            row = vec
+            for i in _bits(vec):
+                row ^= images[i]
+            while row >> shift:
+                top = row.bit_length()
+                prow = pivots.get(top)
+                if prow is None:
+                    pivots[top] = row
+                    break
+                row ^= prow
+            else:
+                narrowed.append(row)
+        return narrowed
+    normal = _normaliser(p, -(-max([shift, *map(int.bit_length, images.values())]) // b))
     for vec in kernel:
-        image_of_vec: dict = {}
-        for u, c in vec.items():
-            _axpy(image_of_vec, c, images[u], p)
-        combo = dict(vec)
-        for key, prow, pcombo in pivots:
-            f = image_of_vec.get(key)
-            if f:
-                _axpy(image_of_vec, -f, prow, p)
-                _axpy(combo, -f, pcombo, p)
-        if not image_of_vec:
-            narrowed.append(combo)
-            continue
-        key, lead = next(iter(image_of_vec.items()))
-        inv = pow(lead, p - 2, p)
-        pivots.append((key, {k: w * inv % p for k, w in image_of_vec.items()},
-                       {k: w * inv % p for k, w in combo.items()}))
+        row = vec
+        for i, c in _fields(vec, b):
+            row = normal(row + c * images[i])
+        while row >> shift:
+            top = (row.bit_length() - 1) // b
+            lead = row >> top * b
+            prow = pivots.get(top)
+            if prow is None:
+                pivots[top] = normal(pow(lead, p - 2, p) * row)
+                break
+            row = normal(row + (p - lead) * prow)
+        else:
+            narrowed.append(row)
     return narrowed
 
 
@@ -456,14 +496,6 @@ def _axpy(y: dict, a: int, x: dict, p: int):
             y.pop(k, None)
 
 
-def _bits(v: int):
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
-
-
 class _Quotient:
     """S/A for the reduced grevlex GB of a homogeneous A of finite colength.
 
@@ -471,50 +503,105 @@ class _Quotient:
     top standard degree, and the (lead, tail terms) of each element of the
     GB.  A subspace V of span(standard monomials) with A + V an ideal is
     kept as one kernel basis per degree; ``basis`` reads the reduced GB of
-    A + V off them.  Rows are {standard monomial: coefficient} dicts here;
-    ``_PackedF2`` packs them into ints over F_2.  ``monomials`` lists the
-    standard monomials of A; ``zero_dimensional_quotient`` builds one.
+    A + V off them.  ``monomials`` lists the standard monomials of A;
+    ``zero_dimensional_quotient`` builds one.
+
+    A vector of degree d is a packed row, an int whose field i, ``_width(p)``
+    bits wide, holds the coefficient of ``standard[d][i]``, so the top field
+    is the largest monomial.  Over F_2 adding two rows is one XOR; over odd
+    p, y + c * x is one addition and one multiplication of ints followed by
+    a ``_normaliser``.  Table keys are ints too: m -> sum m_i * B^i with
+    B > top, so x^c * t is one integer addition and u^q is one
+    multiplication; no carry occurs, as no exponent in a table exceeds the
+    top standard degree.  The keys of a degree's standard monomials are
+    built when a call first needs them.
     """
 
     def __init__(self, gb, ring: PolyRing, monomials):
         self.ring = ring
-        self.p = ring.field.p
+        self.p = p = ring.field.p
+        self.width = _width(p)
         self.nvars = ring.nvars
         self.standard: dict = {}
         for m in sorted(monomials, key=GREVLEX.descending_key, reverse=True):
             self.standard.setdefault(sum(m), []).append(m)
         self.top = max(self.standard, default=-1)
+        self.weights = [(self.top + 1) ** i for i in range(self.nvars)]
         self.reducers = [(g.leading_monomial(GREVLEX), _reducer(g, GREVLEX)[1]) for g in gb]
+        # (lead, key(lead), (key(t), -c mod p) of each tail term c * t), with
+        # key(t) alone over F_2, where the XOR loops need no coefficient
+        term = (lambda t, c: self.key(t)) if p == 2 else (lambda t, c: (self.key(t), -c % p))
+        self.packed_reducers = [(lm, self.key(lm), [term(t, c) for t, c in tail])
+                                for lm, tail in self.reducers]
+        self.ukeys: dict = {}  # degree -> key of each standard monomial
+
+    def key(self, m: tuple) -> int:
+        return sum(map(mul, m, self.weights))
 
     def table(self, e: int) -> dict:
-        return _normal_form_table(self.reducers, set(self.standard[e]), self.nvars, e, self.p)
+        """{key(m): NF(m)} for every monomial m of degree e, NF(m) a packed row.
 
-    def narrow(self, kernel, d: int, image) -> list:
-        return _narrow_kernel(kernel, self.standard[d], image, self.p)
-
-    def divisor(self, b: Polynomial):
-        """b in the form ``image`` takes: its term list."""
-        return list(b.terms.items())
+        A non-standard m = x^c * lead(g) has NF(m) = -sum c_t NF(x^c * t)
+        over g's tail terms t; each x^c * t is smaller than m, so walking the
+        monomials in ascending grevlex finds its normal form already computed.
+        """
+        standard, key, b, p = self.standard[e] + [None], self.key, self.width, self.p
+        normal = p != 2 and _normaliser(p, len(standard) - 1)
+        table, i = {}, 0
+        for m in _monomials_of_degree(self.nvars, e):
+            k = key(m)
+            if m == standard[i]:  # both ascend in grevlex: m is standard[e][i]
+                table[k] = 1 << i * b
+                i += 1
+                continue
+            for lm, lk, tail in self.packed_reducers:
+                if all(map(le, lm, m)):
+                    break
+            shift = k - lk
+            row = 0
+            if normal:
+                for t, c in tail:
+                    row = normal(row + c * table[t + shift])
+            else:
+                for t in tail:
+                    row ^= table[t + shift]
+            table[k] = row
+        return table
 
     def image(self, divisors, q: int, e: int, table: dict):
-        """u -> (NF(u^q * b))_b, ``divisors`` of one degree in ``divisor`` form
-        and ``table`` the normal forms of degree e = q * deg u + deg b."""
-        p = self.p
+        """key(u) -> NF(u^q * b_j) concatenated at field offset j * len(standard[e]),
+        ``divisors`` of one degree as (keys, coefficients) of their terms and
+        ``table`` the normal forms of degree e = q * deg u + deg b;
+        key(u^q * t) is q * key(u) + key(t)."""
+        n = len(self.standard[e])
+        p, offset = self.p, n * self.width
+        normal = p != 2 and _normaliser(p, n)
 
-        def image(u):
-            uq = mono_pow(u, q)
-            acc: dict = {}
-            for j, terms in enumerate(divisors):
-                for t, c in terms:
-                    for s, v in table[tuple(map(add, uq, t))].items():
-                        key = (j, s)
-                        acc[key] = acc.get(key, 0) + c * v
-            return {k: v % p for k, v in acc.items() if v % p}
+        def image(uk):
+            uk *= q
+            out = 0
+            for j, (keys, coefficients) in enumerate(divisors):
+                acc = 0
+                if normal:
+                    for t, c in zip(keys, coefficients):
+                        acc = normal(acc + c * table[uk + t])
+                else:
+                    for t in keys:
+                        acc ^= table[uk + t]
+                out |= acc << j * offset
+            return out
         return image
 
-    def rows(self, d: int, kernel):
-        """(pivot, row as a dict) of each vector of a degree-d kernel."""
-        return [(max(v, key=GREVLEX.key), v) for v in kernel]
+    def narrow(self, kernel, d: int, image) -> list:
+        """``_narrow`` of a degree-d kernel (None: all of it) by ``image``."""
+        if d not in self.ukeys:
+            self.ukeys[d] = [self.key(u) for u in self.standard[d]]
+        ukeys = self.ukeys[d]
+        return _narrow(kernel, len(ukeys), lambda i: image(ukeys[i]), self.p)
+
+    def unpack(self, d: int, vec: int) -> dict:
+        monomials = self.standard[d]
+        return {monomials[i]: c for i, c in _fields(vec, self.width)}
 
     def basis(self, kernels: dict) -> list:
         """Reduced grevlex GB of A + V, V given by ``kernels``: degree -> kernel
@@ -525,10 +612,11 @@ class _Quotient:
         pivot gives its row, and a minimal lead of g in A's GB gives g with
         its pivot tail terms reduced by their rows; no row reduction runs.
         """
-        rows: dict = {}  # pivot -> RREF row, over all degrees
+        rows: dict = {}  # pivot -> RREF row as a dict, over all degrees
         for d, monomials in self.standard.items():
             if d in kernels:
-                rows.update(self.rows(d, kernels[d]))
+                rows.update((monomials[(v.bit_length() - 1) // self.width], self.unpack(d, v))
+                            for v in kernels[d])
             else:
                 rows.update((u, {u: 1}) for u in monomials)
 
@@ -556,111 +644,6 @@ class _Quotient:
         return gens
 
 
-class _PackedF2(_Quotient):
-    """``_Quotient`` over F_2 with its per-degree kernels on rows packed into ints.
-
-    A vector of degree d is an int whose bit i stands for ``standard[d][i]``,
-    the standard monomials of degree d in ascending grevlex, so the top bit
-    is the largest monomial and adding two rows is one XOR.  Table keys are
-    ints too: m -> sum m_i * B^i with B > top, so x^c * t is one integer
-    addition and u^q is one multiplication; no carry occurs, as no exponent
-    in a table exceeds the top standard degree.  Every nonzero coefficient
-    over F_2 is 1, so the term lists reduce to their keys.
-    """
-
-    def __init__(self, gb, ring: PolyRing, monomials):
-        super().__init__(gb, ring, monomials)
-        self.weights = [(self.top + 1) ** i for i in range(self.nvars)]
-        self.index = {d: {m: i for i, m in enumerate(ms)} for d, ms in self.standard.items()}
-        self.ukeys = {d: [self.key(u) for u in ms] for d, ms in self.standard.items()}
-        self.packed_reducers = [(lm, self.key(lm), [self.key(t) for t, _ in tail])
-                                for lm, tail in self.reducers]
-
-    def key(self, m: tuple) -> int:
-        return sum(map(mul, m, self.weights))
-
-    def table(self, e: int) -> dict:
-        """``_normal_form_table`` on packed rows: {key(m): NF(m)} for deg m = e."""
-        index = self.index[e]
-        key = self.key
-        table = {}
-        for m in _monomials_of_degree(self.nvars, e):
-            k = key(m)
-            i = index.get(m)
-            if i is not None:
-                table[k] = 1 << i
-                continue
-            for lm, lk, tail in self.packed_reducers:
-                if all(map(le, lm, m)):
-                    break
-            shift = k - lk
-            row = 0
-            for t in tail:
-                row ^= table[t + shift]
-            table[k] = row
-        return table
-
-    def narrow(self, kernel, d: int, image) -> list:
-        """``_narrow_kernel`` on packed rows; ``image`` maps key(u) to an int.
-
-        A row is image << n | combination, n the number of standard
-        monomials of degree d.  Eliminating on the top bit carries the
-        combination along, and rows whose image vanishes span the kernel;
-        as there, they are in reduced row echelon form, each pivot its top
-        bit, ascending.
-        """
-        ukeys = self.ukeys[d]
-        n = len(ukeys)
-        if kernel is None:
-            kernel = [1 << i for i in range(n)]
-        support = 0
-        for vec in kernel:
-            support |= vec
-        images = {i: image(ukeys[i]) << n for i in _bits(support)}
-        pivots: dict = {}  # top bit -> row
-        narrowed = []
-        for vec in kernel:
-            row = vec
-            for i in _bits(vec):
-                row ^= images[i]
-            while row >> n:
-                lead = row.bit_length()
-                prow = pivots.get(lead)
-                if prow is None:
-                    pivots[lead] = row
-                    break
-                row ^= prow
-            else:
-                narrowed.append(row)
-        return narrowed
-
-    def divisor(self, b: Polynomial):
-        return [self.key(t) for t in b.terms]
-
-    def image(self, divisors, q: int, e: int, table: dict):
-        """key(u) -> NF(u^q * b_j) concatenated at bit offset j * width;
-        key(u^q * t) is q * key(u) + key(t)."""
-        width = len(self.ukeys[e])
-
-        def image(uk):
-            uk *= q
-            out = 0
-            for j, terms in enumerate(divisors):
-                acc = 0
-                for t in terms:
-                    acc ^= table[uk + t]
-                out |= acc << (j * width)
-            return out
-        return image
-
-    def rows(self, d: int, kernel):
-        return [(self.standard[d][v.bit_length() - 1], self.unpack(d, v)) for v in kernel]
-
-    def unpack(self, d: int, vec: int) -> dict:
-        monomials = self.standard[d]
-        return {monomials[i]: 1 for i in _bits(vec)}
-
-
 def zero_dimensional_quotient(gb, ring: PolyRing):
     """S/A for the reduced grevlex GB ``gb`` of A, the ``_Quotient`` that
     ``frobenius_colon`` runs on, or None unless A is homogeneous of finite
@@ -678,7 +661,7 @@ def zero_dimensional_quotient(gb, ring: PolyRing):
         if staircase is None:
             return None
         monomials = _staircase_monomials(staircase)
-    return (_PackedF2 if ring.field.p == 2 else _Quotient)(gb, ring, monomials)
+    return _Quotient(gb, ring, monomials)
 
 
 def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
@@ -700,7 +683,8 @@ def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
     by_degree: dict = {}
     for b in divisors:
         if b.degree() <= quotient.top:
-            by_degree.setdefault(b.degree(), []).append(quotient.divisor(b))
+            by_degree.setdefault(b.degree(), []).append(
+                (list(map(quotient.key, b.terms)), list(b.terms.values())))
     kernels: dict = {}  # degree -> narrowed kernel basis; absent: never narrowed
     for e in range(quotient.top + 1):
         narrow = [(delta, (e - delta) // q) for delta in sorted(by_degree)

@@ -8,9 +8,6 @@ outside values.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,26 +35,6 @@ class LengthTable:
     ideal: Ideal
     rows: tuple
     leading_coefficient_estimate: Fraction
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["e", "q", "len_bracket", "len_corner"])
-        for row in self.rows:
-            writer.writerow([row.e, row.q, row.colength_bracket,
-                             "" if row.colength_corner is None else row.colength_corner])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "ideal": self.ideal.gb_strings(),
-            "rows": [
-                {"e": r.e, "q": r.q, "len_bracket": r.colength_bracket,
-                 "len_corner": r.colength_corner}
-                for r in self.rows
-            ],
-            "leading_coefficient_estimate": str(self.leading_coefficient_estimate),
-        }, sort_keys=True)
 
 
 def hk_table(I: Ideal, e_max: int, include_corner: bool = False,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import AlgebraError, Polynomial
 from .frobenius import bracket_power, frobenius_q
-from .groebner import _monomials_of_degree, _narrow_kernel
+from .groebner import _fields, _monomials_of_degree, _narrow, _width
 from .rings import (
     Ideal,
     ParameterSearchFailed,
@@ -86,24 +86,23 @@ def direct_link(I: Ideal, a: Ideal | None = None,
 def _lift(f: Polynomial, b: Ideal) -> list:
     """Row c of M with f = sum c_j * b_j modulo the relation, for homogeneous f.
     In degree deg f, the kernel of the columns u * g (g among b's generators
-    and the relation) and f has one vector through f's column: 1 there, and
-    the coefficients of -c_j on the columns of b_j."""
+    and the relation) and f, the last, packed over the monomials of degree
+    deg f, has one vector through f's column: 1 there, and the coefficients
+    of -c_j on the columns of b_j."""
     ring = b.ring.poly
+    p, w = ring.field.p, _width(ring.field.p)
     gens = b.lift_gens()
+    index = {m: i for i, m in enumerate(_monomials_of_degree(ring.nvars, f.degree()))}
     columns = [(j, u) for j, g in enumerate(gens)
                for u in _monomials_of_degree(ring.nvars, f.degree() - g.degree())]
-    columns.append(None)
-
-    def image(column):
-        if column is None:
-            return f.terms
-        j, u = column
-        return gens[j].mul_monomial(u).terms
-    for vec in _narrow_kernel(None, columns, image, ring.field.p):
-        if vec.pop(None, 0):
-            return [ring.from_terms((u, -c) for (i, u), c in vec.items() if i == j)
-                    for j in range(len(b.gens))]
-    raise AlgebraError("need a contained in b")
+    images = [gens[j].mul_monomial(u).terms for j, u in columns] + [f.terms]
+    packed = [sum(c << index[m] * w for m, c in terms.items()) for terms in images]
+    kernel = _narrow(None, len(packed), packed.__getitem__, p)
+    if not kernel or not kernel[-1] >> len(columns) * w:
+        raise AlgebraError("need a contained in b")
+    vec = dict(_fields(kernel[-1], w))
+    return [ring.from_terms((u, -vec.get(i, 0)) for i, (k, u) in enumerate(columns) if k == j)
+            for j in range(len(b.gens))]
 
 
 def _det(M, ring) -> Polynomial:

@@ -7,12 +7,13 @@ runs on the lift (generators + f) in S; two ideals of R are equal iff their
 lifted reduced Groebner bases coincide.
 
 ``twisted_colon`` is the one colon engine: every colon, Frobenius preimage
-and approximation I_q is {u : u^q * B in A} for some A, B and q.  It tries,
-in order, the linear-algebra kernel ``groebner.frobenius_colon`` (B
-homogeneous, A's lift homogeneous of finite colength); A itself as A : B
-when B holds a nonzero constant; elimination (``_colon_gens``) for K = A : B;
-and for q > 1 then {u : u^q in K}, by the kernel again when K qualifies,
-else by elimination (``_preimage_by_elimination``).
+and approximation I_q is {u : u^q * B in A} for some A, B and q.  A unit A
+gives (1) at once.  Otherwise it tries, in order, the linear-algebra kernel
+``groebner.frobenius_colon`` (B homogeneous, A's lift homogeneous of finite
+colength); A itself as A : B when B holds a nonzero constant; elimination
+(``_colon_gens``) for K = A : B; and for q > 1 then {u : u^q in K}, by the
+kernel again when K qualifies, else by elimination
+(``_preimage_by_elimination``).
 
 Membership and reduction read a table of monomial normal forms kept on each
 Ideal.  Modulo a Groebner basis G every f has one normal form NF(f), the
@@ -391,6 +392,8 @@ def twisted_colon(A: Ideal, divisors, q: int = 1) -> Ideal:
     docstring; the generators are the reduced GB, except after a preimage
     by elimination."""
     ring = A.ring.poly
+    if A.is_unit():
+        return _with_reduced_gb(A.ring, [ring.one()])
     if all(b.is_homogeneous() for b in divisors):
         quotient = zero_dimensional_quotient(A.gb, ring)
         if quotient is not None:

@@ -59,11 +59,17 @@ def _split_args(argtext: str):
     return parts
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted for an error message, or named by its length when it
+    is over 40 characters long."""
+    return repr(text) if len(text) <= 40 else f"a value of {len(text)} characters"
+
+
 def _integer(text: str) -> int:
     try:
         return int(text)
-    except ValueError:
-        raise ScriptError(f"expected an integer, got {text!r}")
+    except ValueError:  # not an integer, or past int's max-str-digits limit
+        raise ScriptError(f"expected an integer, got {_shown(text)}")
 
 
 def _length(I: Ideal) -> str:
@@ -132,17 +138,17 @@ class ScriptRunner:
         return self.ideals[name]
 
     def _exponent(self, qtext: str) -> int:
+        p = self.ring.field.p
         try:
             q = int(qtext)
-        except ValueError:
-            raise ScriptError(f"expected a power of p, got {qtext!r}")
-        p = self.ring.field.p
+        except ValueError:  # not an integer, or past int's max-str-digits limit
+            q = 0
         e = 0
         while q > 1 and q % p == 0:
             q //= p
             e += 1
         if q != 1:
-            raise ScriptError(f"{qtext} is not a power of char {p}")
+            raise ScriptError(f"expected a power of char {p}, got {_shown(qtext)}")
         return e
 
     # -- statements ------------------------------------------------------

@@ -137,6 +137,19 @@ class TestRunCommand:
         assert "too long" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("call", ["iq(A," + "1" * 4301 + ")",
+                                      "bracket(A," + "1" * 4000 + ")"],
+                             ids=["iq-4301-digits", "bracket-4000-digits"])
+    def test_over_long_script_integer_is_named_by_length(self, tmp_path, call):
+        f = tmp_path / "long.alg"
+        f.write_text(f"ring R = char 5 vars x, y;\nideal A = x, y;\nB = {call};")
+        result = run_charp(["run", str(f)])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert len(result.stderr) < 200
+        assert "characters" in result.stderr
+        assert result.stdout == ""
+
     def test_json_report_written(self, tmp_path):
         f = tmp_path / "ok.alg"
         f.write_text(PASS_SCRIPT)

@@ -17,13 +17,14 @@ from charp.core import (
 )
 from charp.groebner import (
     INFINITE,
-    _PackedF2,
     _Quotient,
     _monomials_of_degree,
     _reducer,
     _s_polynomial,
     _staircase,
     _staircase_monomials,
+    _normaliser,
+    _width,
     buchberger,
     colength,
     divide_exact,
@@ -350,33 +351,147 @@ class TestDivideExact:
 
 
 # ---------------------------------------------------------------------------
-# The packed F_2 colon kernels against the dict kernels, degree by degree.
+# The packed colon kernels against the dict kernels, degree by degree.
 
-def _f2_bracket_case(names, dividend, divisors, q, relation=None):
-    """(ring, A, B) over F_2: A and B are the q-th bracket powers of the
+def reference_normal_form_table(reducers, standard: set, nvars: int, e: int, p: int) -> dict:
+    """Normal form, as {standard monomial: coefficient}, of every degree-e monomial.
+
+    ``reducers`` holds (lead, tail terms) of a homogeneous monic Groebner
+    basis.  A non-standard m = x^c * lead(g) has NF(m) = -sum c_t NF(x^c * t)
+    over g's tail terms t, each smaller than m in grevlex.
+    """
+    table = {}
+    for m in _monomials_of_degree(nvars, e):
+        if m in standard:
+            table[m] = {m: 1}
+            continue
+        lm, tail = next((lm, tail) for lm, tail in reducers if mono_divides(lm, m))
+        shift = mono_div(m, lm)
+        acc: dict = {}
+        for t, c in tail:
+            for s, v in table[mono_mul(t, shift)].items():
+                acc[s] = acc.get(s, 0) + c * v
+        table[m] = {s: -v % p for s, v in acc.items() if v % p}
+    return table
+
+
+def reference_axpy(y: dict, a: int, x: dict, p: int):
+    """y += a * x over F_p, in place, dropping zeros."""
+    for k, w in x.items():
+        s = (y.get(k, 0) + a * w) % p
+        if s:
+            y[k] = s
+        else:
+            y.pop(k, None)
+
+
+def reference_narrow_kernel(kernel, columns: list, image, p: int) -> list:
+    """Basis of {v in span(kernel) : sum of v_u * image(u) over u is 0}.
+
+    Vectors are {column: coefficient} dicts; ``kernel`` None stands for the
+    unit vectors of ``columns``, and ``image`` maps a column to a dict over
+    F_p.  Sparse Gaussian elimination on the images tracks the row
+    combinations; those whose image vanishes span the kernel, in reduced
+    row echelon form over the order of ``columns`` when ``kernel`` is.
+    """
+    if kernel is None:
+        kernel = [{u: 1} for u in columns]
+    images = {u: image(u) for u in {u for v in kernel for u in v}}
+    pivots = []  # (pivot key, image with coefficient 1 there, combination)
+    narrowed = []
+    for vec in kernel:
+        image_of_vec: dict = {}
+        for u, c in vec.items():
+            reference_axpy(image_of_vec, c, images[u], p)
+        combo = dict(vec)
+        for key, prow, pcombo in pivots:
+            f = image_of_vec.get(key)
+            if f:
+                reference_axpy(image_of_vec, -f, prow, p)
+                reference_axpy(combo, -f, pcombo, p)
+        if not image_of_vec:
+            narrowed.append(combo)
+            continue
+        key, lead = next(iter(image_of_vec.items()))
+        inv = pow(lead, p - 2, p)
+        pivots.append((key, {k: w * inv % p for k, w in image_of_vec.items()},
+                       {k: w * inv % p for k, w in combo.items()}))
+    return narrowed
+
+
+def reference_image(divisors, q: int, table: dict, p: int):
+    """u -> (NF(u^q * b))_b as a dict keyed (divisor index, standard monomial)."""
+    def image(u):
+        uq = tuple(e * q for e in u)
+        acc: dict = {}
+        for j, b in enumerate(divisors):
+            for t, c in b.terms.items():
+                for s, v in table[mono_mul(uq, t)].items():
+                    acc[j, s] = acc.get((j, s), 0) + c * v
+        return {k: v % p for k, v in acc.items() if v % p}
+    return image
+
+
+def reference_basis(gb, standard: dict, kernels: dict, ring) -> list:
+    """Reduced grevlex GB of A + V from A's reduced GB ``gb`` and dict
+    kernels: each minimal generator m of leads(A) + pivots(V) gives
+    m - NF(m), NF(m) reduced by the RREF rows of V; a degree absent from
+    ``kernels`` lies wholly in V."""
+    p = ring.field.p
+    rows = {}  # pivot -> RREF row
+    for d, monomials in standard.items():
+        for v in kernels.get(d, [{u: 1} for u in monomials]):
+            rows[max(v, key=GREVLEX.key)] = v
+    standard_set = {u for monomials in standard.values() for u in monomials}
+    tails = {g.leading_monomial(GREVLEX): {t: -c % p for t, c in g.terms.items()
+                                          if t != g.leading_monomial(GREVLEX)}
+             for g in gb}
+
+    def in_lead_ideal(m):
+        return m in rows or m not in standard_set
+
+    out = []
+    for m in list(tails) + list(rows):
+        if any(e and in_lead_ideal(m[:i] + (e - 1,) + m[i + 1:]) for i, e in enumerate(m)):
+            continue
+        nf = dict(tails[m]) if m in tails else {m: 1}
+        for t in [t for t in nf if t in rows]:
+            if nf.get(t):
+                reference_axpy(nf, -nf[t], rows[t], p)
+        out.append(ring.from_terms([(m, 1)] + [(t, -c) for t, c in nf.items()]))
+    return sorted(out, key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+
+
+def _bracket_case(p, names, dividend, divisors, q, relation=None):
+    """(ring, A, B) over F_p: A and B are the q-th bracket powers of the
     given generators, and A also holds ``relation`` if one is given."""
-    ring = PolyRing(2, names)
+    ring = PolyRing(p, names)
     gens = [ring.parse(g) ** q for g in dividend]
     if relation is not None:
         gens.append(ring.parse(relation))
     return ring, gens, [ring.parse(b) ** q for b in divisors]
 
 
+_PRIMES = (2, 3, 5, 7, 101)
+
+
 @st.composite
-def f2_colons(draw):
-    """(ring, A, B) over F_2: A is the q-th bracket power of 1-2 forms per
-    variable (plus pure powers or not), of finite colength at most 1500;
-    B is 1-3 forms of degree 0-3, some raised to the q-th power too."""
-    nvars = draw(st.integers(1, 4))
-    ring = PolyRing(2, [f"x{i}" for i in range(nvars)])
-    q = draw(st.sampled_from([1, 2, 4, 8]))
+def packed_colons(draw):
+    """(ring, A, B) over F_p, p in ``_PRIMES``: A is the q-th bracket power
+    of 1-2 forms per variable (plus pure powers or not), q a power of p up
+    to 8, of finite colength at most 1500; B is 1-3 forms of degree 0-3,
+    some raised to the q-th power too."""
+    p = draw(st.sampled_from(_PRIMES))
+    nvars = draw(st.integers(1, 4 if p == 2 else 3))
+    ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
+    q = draw(st.sampled_from([p ** k for k in range(4) if p ** k <= 8]))
 
     def form(lo, hi):
         degree = draw(st.integers(lo, hi))
         monos = [m for m in itertools.product(range(degree + 1), repeat=nvars)
                  if sum(m) == degree]
-        keep = draw(st.lists(st.booleans(), min_size=len(monos), max_size=len(monos)))
-        return Polynomial(ring, {m: 1 for m, k in zip(monos, keep) if k})
+        cs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+        return Polynomial(ring, {m: c for m, c in zip(monos, cs) if c})
 
     gens = [form(1, 2) for _ in range(nvars + draw(st.integers(0, 1)))]
     if draw(st.booleans()):
@@ -388,62 +503,93 @@ def f2_colons(draw):
     return ring, gens, divisors
 
 
-class TestPackedF2Kernels:
-    """``_PackedF2`` computes what the dict kernels compute, degree by degree:
-    the same normal-form tables, the same narrowed kernels, vector for
-    vector, as both are the unique reduced row echelon basis of the kernel,
-    in ascending order of pivots, and the same basis.  The kernels are
-    narrowed by the images u -> (NF(u^q * b))_b of ``frobenius_colon`` at
-    q = 1, 2, 4, 8, for the drawn divisors and for B = (1)."""
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PRIMES[1:]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p * (p - 1)), max_size=40))))
+@example((3, [6, 6, 6]))
+@example((101, [101 * 100, 0, 100, 101, 5050]))
+def test_normaliser_reduces_every_field(case):
+    # fields of y + c * x hold at most p(p - 1); the normaliser leaves each
+    # one mod p without disturbing its neighbours
+    p, values = case
+    b = _width(p)
+    assert p * (p - 1) < 1 << b - 1
+    normal = _normaliser(p, len(values))
+    z = sum(v << i * b for i, v in enumerate(values))
+    assert normal(z) == sum(v % p << i * b for i, v in enumerate(values))
 
-    @settings(max_examples=60, deadline=None)
-    @given(f2_colons())
+
+class TestPackedKernels:
+    """``_Quotient`` computes on packed rows what the dict kernels compute,
+    degree by degree, at p = 2, 3, 5, 7 and 101: the same normal-form
+    tables, the same narrowed kernels, vector for vector, as both are the
+    unique reduced row echelon basis of the kernel, in ascending order of
+    pivots, and the same basis.  The kernels are narrowed by the images
+    u -> (NF(u^q * b))_b of ``frobenius_colon`` at q = 1, p, p^2, p^3, for
+    the drawn divisors and for B = (1)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(packed_colons())
     # the lift of (x^2, y^2)^[8] : m^[8] on fermat2, top standard degree 32
-    @example(_f2_bracket_case(["x", "y", "z"], ["x^2", "y^2"], ["x", "y", "z"], 8,
-                              relation="x^3+y^3+z^3"))
-    @example(_f2_bracket_case(["x", "y", "z"], ["x", "y", "z^2"],
-                              ["x*y+z^2", "z", "x+y"], 8))          # top 29
-    @example(_f2_bracket_case(["x", "y"], ["x^2+x*y", "y^2"], ["x+y", "y"], 16))  # top 62
-    @example(_f2_bracket_case(["x", "y"], ["x^2", "x*y", "y^2"], ["x", "y"], 1))  # top 1
+    @example(_bracket_case(2, ["x", "y", "z"], ["x^2", "y^2"], ["x", "y", "z"], 8,
+                           relation="x^3+y^3+z^3"))
+    @example(_bracket_case(2, ["x", "y", "z"], ["x", "y", "z^2"],
+                           ["x*y+z^2", "z", "x+y"], 8))          # top 29
+    @example(_bracket_case(2, ["x", "y"], ["x^2+x*y", "y^2"], ["x+y", "y"], 16))  # top 62
+    @example(_bracket_case(2, ["x", "y"], ["x^2", "x*y", "y^2"], ["x", "y"], 1))  # top 1
+    # the lift of (x^2, y^2)^[3] : m^[3] on the Fermat quartic at p = 3
+    @example(_bracket_case(3, ["x", "y", "z"], ["x^2", "y^2"], ["x", "y", "z"], 3,
+                           relation="x^4+y^4+z^4"))
+    @example(_bracket_case(5, ["x", "y"], ["x^2+2*x*y", "y^3"], ["3*x+y", "y^2"], 5))
+    @example(_bracket_case(101, ["x", "y", "z"], ["x^3+50*y^3", "y^2-z^2", "z^4"],
+                           ["x+100*y", "y*z"], 1))
     def test_against_dict_kernels(self, case):
         ring, gens, divisors = case
+        p = ring.field.p
         gb = buchberger(gens, ring=ring)
-        monomials = standard_monomials(gb, ring.nvars)
-        plain, packed = _Quotient(gb, ring, monomials), _PackedF2(gb, ring, monomials)
+        quotient = _Quotient(gb, ring, standard_monomials(gb, ring.nvars))
         tables = {}
 
         def tables_at(e):
             if e not in tables:
-                table, ptable = plain.table(e), packed.table(e)
+                table = reference_normal_form_table(
+                    quotient.reducers, set(quotient.standard[e]), ring.nvars, e, p)
+                ptable = quotient.table(e)
                 assert len(ptable) == len(table)
-                assert {m: packed.unpack(e, ptable[packed.key(m)]) for m in table} == table
+                assert {m: quotient.unpack(e, ptable[quotient.key(m)]) for m in table} == table
                 tables[e] = table, ptable
             return tables[e]
 
         def pack(d, vec):
-            assert set(vec.values()) <= {1}
-            return sum(1 << packed.index[d][m] for m in vec)
+            index = {m: i for i, m in enumerate(quotient.standard[d])}
+            return sum(c << index[m] * _width(p) for m, c in vec.items())
 
-        for q in (1, 2, 4, 8):
+        # every table first, so that a wrong table fails before a narrowing
+        # runs on it
+        for e in range(quotient.top + 1):
+            tables_at(e)
+        for q in (1, p, p ** 2, p ** 3):
             for divs in (divisors, [ring.one()]):
                 by_degree = {}
                 for b in divs:
-                    if not b.is_zero() and b.degree() <= plain.top:
+                    if not b.is_zero() and b.degree() <= quotient.top:
                         by_degree.setdefault(b.degree(), []).append(b)
                 kernels, pkernels = {}, {}
-                for e in range(plain.top + 1):
+                for e in range(quotient.top + 1):
                     for delta in sorted(by_degree):
                         d, r = divmod(e - delta, q)
                         if d < 0 or r or kernels.get(d) == []:
                             continue
                         table, ptable = tables_at(e)
                         bs = by_degree[delta]
-                        kernels[d] = plain.narrow(
-                            kernels.get(d), d,
-                            plain.image([plain.divisor(b) for b in bs], q, e, table))
-                        pkernels[d] = packed.narrow(
+                        kernels[d] = reference_narrow_kernel(
+                            kernels.get(d), quotient.standard[d],
+                            reference_image(bs, q, table, p), p)
+                        pkernels[d] = quotient.narrow(
                             pkernels.get(d), d,
-                            packed.image([packed.divisor(b) for b in bs], q, e, ptable))
-                        assert [packed.unpack(d, v) for v in pkernels[d]] == kernels[d]
+                            quotient.image([(list(map(quotient.key, b.terms)),
+                                             list(b.terms.values())) for b in bs], q, e, ptable))
+                        assert [quotient.unpack(d, v) for v in pkernels[d]] == kernels[d]
                         assert pkernels[d] == [pack(d, v) for v in kernels[d]]
-                assert packed.basis(pkernels) == plain.basis(kernels)
+                assert quotient.basis(pkernels) == reference_basis(
+                    gb, quotient.standard, kernels, ring)

@@ -567,29 +567,23 @@ class TestColonByLinearAlgebra:
     @example(_cube_colon(3))
     def test_narrowed_kernels_are_rref(self, case):
         # the basis is read off the kernels without a row reduction: each
-        # vector's largest monomial is its pivot, with coefficient 1, in no
-        # other vector, and the pivots ascend
+        # vector's top field (its largest monomial) is its pivot, with
+        # value 1, in no other vector, and the pivots ascend
         ring, gens, divisors = case
         kernels = []
-        narrow_dict, narrow_packed = groebner._narrow_kernel, groebner._PackedF2.narrow
+        narrow = groebner._narrow
 
-        def spy_dict(*args):
-            kernels.append(narrow_dict(*args))
-            return kernels[-1]
-
-        def spy_packed(packed, kernel, d, *args):
-            rows = narrow_packed(packed, kernel, d, *args)
-            kernels.append([packed.unpack(d, v) for v in rows])
+        def spy(kernel, n, image, p):
+            rows = narrow(kernel, n, image, p)
+            kernels.append([dict(groebner._fields(v, groebner._width(p))) for v in rows])
             return rows
 
-        with mock.patch.object(groebner, "_narrow_kernel", spy_dict), \
-                mock.patch.object(groebner._PackedF2, "narrow", spy_packed):
+        with mock.patch.object(groebner, "_narrow", spy):
             frobenius_colon(
                 groebner.zero_dimensional_quotient(buchberger(gens, ring=ring), ring), divisors)
         for kernel in kernels:
-            pivots = [max(v, key=GREVLEX.key) for v in kernel]
-            keys = [GREVLEX.key(m) for m in pivots]
-            assert keys == sorted(set(keys))
+            pivots = [max(v) for v in kernel]
+            assert pivots == sorted(set(pivots))
             for i, (v, m) in enumerate(zip(kernel, pivots)):
                 assert v[m] == 1
                 assert not any(m in w for j, w in enumerate(kernel) if j != i)
@@ -685,6 +679,24 @@ class TestColonDispatch:
         assert list(colon.gens) == A.gb
         assert A.gb == rings._colon_gens(A.lift_gens(), [fermat2.poly.one()],
                                          fermat2.poly)
+
+
+def test_unit_dividend_gives_unit_without_elimination(monkeypatch):
+    # A's reduced GB is (1); eliminating from its raw generators against
+    # this inhomogeneous B ran past 60 s
+    R = RingContext(7, ["x", "y", "z", "w"])
+    A = R.ideal("x^3", "y^2", "z^3", "w^4",
+                "6*x^2+4*x*y+2*y^2+y*z+4*z^2+6*x*w+4*y*w+2*z*w+2*w^2+x+y+3*z+6*w+6")
+    B = R.ideal("2*x^2+5*y^2+4*x*z+6*y*z+3*x*w+2*z*w+4*w^2+2*x+5*y+z+6*w+5",
+                "4*x+y+5*z+4*w+2")
+
+    def refuse(*args):
+        raise AssertionError("elimination colon on a unit dividend")
+    monkeypatch.setattr(rings, "_colon_gens", refuse)
+    assert A.is_unit()
+    for q in (1, 7):
+        colon = rings.twisted_colon(A, B.gens, q)
+        assert colon.is_unit() and list(colon.gens) == [R.poly.one()]
 
 
 class TestIqDispatch:

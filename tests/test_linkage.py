@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from charp.core import AlgebraError
 from charp.frobenius import bracket_power
+from charp.groebner import _monomials_of_degree
 from charp.linkage import (
     NotUnmixed,
+    _lift,
     corner_power,
     direct_link,
     link_delta,
@@ -22,6 +24,7 @@ from charp.rings import (
     is_unmixed,
 )
 from charp.singularity import test_ideal as compute_test_ideal
+from test_groebner import reference_narrow_kernel
 
 
 @pytest.fixture
@@ -118,6 +121,44 @@ def reference_delta(a, b):
         r = a.reduce(g)
         if not r.is_zero():
             return r.monic()
+
+
+def reference_lift(f, b):
+    """``_lift`` on dict vectors: the kernel vector through f's column, over
+    the columns u * g of b's lifted generators g, read off the dict kernel."""
+    ring = b.ring.poly
+    gens = b.lift_gens()
+    columns = [(j, u) for j, g in enumerate(gens)
+               for u in _monomials_of_degree(ring.nvars, f.degree() - g.degree())]
+    columns.append(None)
+
+    def image(column):
+        if column is None:
+            return f.terms
+        j, u = column
+        return gens[j].mul_monomial(u).terms
+    for vec in reference_narrow_kernel(None, columns, image, ring.field.p):
+        if vec.pop(None, 0):
+            return [ring.from_terms((u, -c) for (i, u), c in vec.items() if i == j)
+                    for j in range(len(b.gens))]
+    raise AlgebraError("need a contained in b")
+
+
+class TestLift:
+    """The packed ``_lift`` against the dict-kernel reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nested_parameter_pairs())
+    def test_against_dict_reference(self, pair):
+        a, b = pair
+        for f in a.gens:
+            assert _lift(f, b) == reference_lift(f, b)
+
+    def test_outside_b_raises_like_the_reference(self, poly3):
+        f, b = poly3.parse("x^2+z^2"), poly3.ideal("x", "y")
+        for lift in (_lift, reference_lift):
+            with pytest.raises(AlgebraError, match="contained"):
+                lift(f, b)
 
 
 class TestLinkDeltaClosedForm:
