@@ -295,11 +295,11 @@ class Polynomial:
     The canonical (grevlex-descending) term tuple backs hashing, equality
     and printing, so equal polynomials have identical representations.
     The leading monomial is cached for the last order it was asked under,
-    and beside it the reducer that ``groebner`` prepares from that lead;
-    a lead recomputed for another order clears the reducer.
+    and beside it what ``groebner`` prepares from that lead (the packed
+    lead and the reducer); a lead recomputed for another order clears both.
     """
 
-    __slots__ = ("ring", "terms", "_canon", "_lead_order", "_lead", "_reducer")
+    __slots__ = ("ring", "terms", "_canon", "_lead_order", "_lead", "_packed_lead", "_reducer")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -307,7 +307,7 @@ class Polynomial:
         self._canon = None
         self._lead_order = None
         self._lead = None
-        self._reducer = None
+        self._packed_lead = self._reducer = None
 
     # -- canonical form -------------------------------------------------------
 
@@ -340,7 +340,7 @@ class Polynomial:
                 raise AlgebraError("zero polynomial has no leading term")
             self._lead = max(self.terms, key=order.key)
             self._lead_order = order
-            self._reducer = None
+            self._packed_lead = self._reducer = None
         return self._lead
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:

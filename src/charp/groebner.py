@@ -10,7 +10,12 @@ of rescanning the remaining terms for their maximum at every step.  A
 divisor's reducer (inverse lead coefficient, tail terms, exponent slack) is
 prepared once per polynomial and order and kept on the polynomial, so the
 reductions of one ``buchberger`` run, and the membership tests that share a
-Groebner basis, prepare each basis element once.
+Groebner basis, prepare each basis element once.  Whether a lead divides a
+term is one test on packed ints (Roune & Stillman, ISSAC 2012), exponents in
+32-bit fields whose free top bits guard against borrows.  ``buchberger``
+pops pairs by least lcm and updates them as Gebauer & Moeller do (J. Symb.
+Comp. 6, 1988): a new element h adds one pair per minimal lcm and drops each
+pair (i, k) whose lcm lm(h) divides, unless lcm(i, h) or lcm(k, h) equals it.
 
 Colengths are counted column by column: along the variable with the largest
 pure-power bound, the standard monomials over each point of the remaining
@@ -45,7 +50,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import reduce
+import struct
+from functools import cache, reduce
 from operator import add, le, mul, or_, sub
 
 from .core import (
@@ -57,9 +63,7 @@ from .core import (
     PolyRing,
     Polynomial,
     mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -87,6 +91,39 @@ def _reducer(g: Polynomial, order: MonomialOrder):
         slack = tuple(MAX_EXPONENT - max(col) for col in zip(*terms))
         r = g._reducer = (g.ring.field.inv(terms[lm]), tail, slack)
     return r
+
+
+@cache
+def _packing(nvars: int):
+    """(pack, guard): ``int.from_bytes(pack(*m), "little")`` packs m with
+    exponent i in the 32-bit field at bit 32 * i, whose top bit, which no
+    exponent up to MAX_EXPONENT = 2^31 - 1 reaches, ``guard`` sets."""
+    return struct.Struct(f"<{nvars}I").pack, sum(1 << 32 * i + 31 for i in range(nvars))
+
+
+def _pack(m: tuple) -> int:
+    return int.from_bytes(_packing(len(m))[0](*m), "little")
+
+
+def _packed_lead(g: Polynomial, order: MonomialOrder) -> int:
+    lm = g.leading_monomial(order)  # clears a packed lead kept for another order
+    if g._packed_lead is None:
+        g._packed_lead = _pack(lm)
+    return g._packed_lead
+
+
+def _divisor(leads, m: int, guard: int):
+    """Index of the first of the packed ``leads`` dividing the packed m, or None.
+
+    Each field of m | guard is 2^31 + m_i and each lead field is below 2^31,
+    so no field borrows from the next, and a field keeps its guard bit iff
+    lead_i <= m_i.
+    """
+    m |= guard
+    for i, lead in enumerate(leads):
+        if (m - lead) & guard == guard:
+            return i
+    return None
 
 
 def _subtract_multiple(work: dict, heap: list, dkey, tail, slack, shift: tuple,
@@ -128,6 +165,8 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
     ring = f.ring
     p = ring.field.p
     leads = [g.leading_monomial(order) for g in basis]
+    packed = [_packed_lead(g, order) for g in basis]
+    pack, guard = _packing(ring.nvars)
     reducers = [None] * len(basis)  # prepared on first use
     work = dict(f.terms)
     heap, dkey = _term_heap(work, order)
@@ -137,17 +176,16 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
         c = work.pop(m, None)
         if c is None:
             continue  # cancelled after it was pushed
-        for i, lm in enumerate(leads):
-            if all(map(le, lm, m)):
-                r = reducers[i]
-                if r is None:
-                    r = reducers[i] = _reducer(basis[i], order)
-                lc_inv, tail, slack = r
-                _subtract_multiple(work, heap, dkey, tail, slack, tuple(map(sub, m, lm)),
-                                   c * lc_inv % p, p)
-                break
-        else:
+        i = _divisor(packed, int.from_bytes(pack(*m), "little"), guard)
+        if i is None:
             remainder[m] = c
+            continue
+        r = reducers[i]
+        if r is None:
+            r = reducers[i] = _reducer(basis[i], order)
+        lc_inv, tail, slack = r
+        _subtract_multiple(work, heap, dkey, tail, slack, tuple(map(sub, m, leads[i])),
+                           c * lc_inv % p, p)
     return Polynomial(ring, remainder)
 
 
@@ -173,69 +211,59 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = Non
     gens = [g for g in gens if g is not None and not g.is_zero()]
     if not gens:
         return []
-    if ring is None:
-        ring = gens[0].ring
-    # deterministic starting point
-    basis = sorted({g.monic(order) for g in gens},
-                   key=lambda g: sorted((order.key(m), c) for m, c in g.terms.items()))
-    G: list[Polynomial] = []
-    leads: list[tuple] = []
-    pending: set[tuple] = set()
-    heap: list = []
+    guard = _packing(gens[0].ring.nvars)[1]
+    G, leads, packed = [], [], []  # every element added, its lead, its packed lead
+    active, basis = [], []  # the indices i whose lead no later lead divides; G[i]
+    heap = []  # the pairs still to reduce: (order key of lcm, i, j, packed lcm)
 
     def add_poly(h: Polynomial):
-        j = len(G)
+        """Append h to G and update the pairs (Gebauer & Moeller)."""
+        j, lm, hp = len(G), h.leading_monomial(order), _packed_lead(h, order)
+        lcms = [mono_lcm(lead, lm) for lead in leads]
+        plcms = [_pack(lcm) for lcm in lcms]
+        # criterion B: drop (i, k) when lm(h) divides its lcm, unless the
+        # lcm is that of (i, h) or of (k, h)
+        heap[:] = [pair for pair in heap if ((pair[3] | guard) - hp) & guard != guard
+                   or plcms[pair[1]] == pair[3] or plcms[pair[2]] == pair[3]]
+        heapq.heapify(heap)
+        # the new pairs (i, h), i active: one per lcm (criterion F), none
+        # whose lcm another properly divides (criterion M), none of a class
+        # with coprime leads in it (product criterion)
+        classes = {}  # packed lcm -> (first i, whether some member's leads are coprime)
+        for i in active:
+            first, coprime = classes.get(plcms[i], (i, False))
+            classes[plcms[i]] = first, coprime or plcms[i] == packed[i] + hp
+        minimal = []  # a monomial order puts every lcm after its divisors
+        for key, i, lcm, coprime in sorted((order.key(lcms[i]), i, lcm, coprime)
+                                           for lcm, (i, coprime) in classes.items()):
+            if _divisor(minimal, lcm, guard) is None:
+                minimal.append(lcm)
+                if not coprime:
+                    heapq.heappush(heap, (key, i, j, lcm))
+        # retire the active elements whose lead lm(h) divides; none divides lm(h)
+        active[:] = [i for i in active if ((packed[i] | guard) - hp) & guard != guard] + [j]
         G.append(h)
-        lm = h.leading_monomial(order)
         leads.append(lm)
-        for i in range(j):
-            lcm = mono_lcm(leads[i], lm)
-            pending.add((i, j))
-            heapq.heappush(heap, (order.key(lcm), i, j))
+        packed.append(hp)
+        basis[:] = [G[i] for i in active]
 
-    for g in basis:
-        g = normal_form(g, G, order)
+    # deterministic starting point, each generator once
+    for g, _ in itertools.groupby(sorted((g.monic(order) for g in gens),
+                                         key=Polynomial.canonical_terms)):
+        g = normal_form(g, basis, order)
         if not g.is_zero():
             add_poly(g.monic(order))
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        li, lj = leads[i], leads[j]
-        lcm = mono_lcm(li, lj)
-        # product criterion: coprime leads
-        if lcm == mono_mul(li, lj):
-            continue
-        # chain criterion
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if mono_divides(leads[k], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = normal_form(_s_polynomial(G[i], G[j], order), G, order)
+        _, i, j, _ = heapq.heappop(heap)
+        h = normal_form(_s_polynomial(G[i], G[j], order), basis, order)
         if not h.is_zero():
             add_poly(h.monic(order))
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, lm in enumerate(leads):
-        if any(mono_divides(leads[j], lm) for j in keep):
-            continue
-        keep = [j for j in keep if not mono_divides(lm, leads[j])]
-        keep.append(i)
-    minimal = [G[i] for i in keep]
-    # interreduce tails
+    # interreduce the tails of the minimal basis
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order)
+    for i, g in enumerate(basis):
+        r = normal_form(g, basis[:i] + basis[i + 1:], order)
         if not r.is_zero():
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
@@ -336,14 +364,13 @@ def _staircase(gb, nvars: int):
     axis = max(range(nvars), key=lambda i: (bounds[i], i))
     # leads as (exponent on axis, other exponents), lowest cut first
     cuts = sorted((m[axis], m[:axis] + m[axis + 1:]) for m in leads)
+    heights = [height for height, _ in cuts]
+    rests = [_pack(rest) for _, rest in cuts]
+    pack, guard = _packing(nvars - 1)
     others = bounds[:axis] + bounds[axis + 1:]
-    columns = []
-    for prefix in itertools.product(*(range(b) for b in others)):
-        for height, rest in cuts:
-            if mono_divides(rest, prefix):
-                break
-        columns.append((prefix, height))
-    return axis, columns
+    return axis, [(prefix, heights[_divisor(rests, int.from_bytes(pack(*prefix), "little"),
+                                            guard)])
+                  for prefix in itertools.product(*(range(b) for b in others))]
 
 
 def colength(gb, nvars: int):

@@ -1,9 +1,11 @@
+import heapq
 import itertools
 import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from charp import groebner, rings
 from charp.core import (
     GREVLEX,
     MAX_EXPONENT,
@@ -13,12 +15,17 @@ from charp.core import (
     Polynomial,
     mono_div,
     mono_divides,
+    mono_lcm,
     mono_mul,
 )
 from charp.groebner import (
     INFINITE,
     _Quotient,
+    _divisor,
     _monomials_of_degree,
+    _pack,
+    _packed_lead,
+    _packing,
     _reducer,
     _s_polynomial,
     _staircase,
@@ -31,6 +38,7 @@ from charp.groebner import (
     eliminate,
     normal_form,
 )
+from charp.script import ScriptRunner
 from oracle import oracle_member, poly_to_dict, random_homogeneous_dict
 
 
@@ -154,6 +162,7 @@ class TestNormalForm:
                       MonomialOrder.lex()):
             lm = max(g.terms, key=order.key)
             lc_inv, tail, _ = _reducer(g, order)
+            assert _packed_lead(g, order) == _pack(lm)
             assert lc_inv * g.terms[lm] % 5 == 1
             assert dict(tail) == {m: c for m, c in g.terms.items() if m != lm}
             want = reference_normal_form(f, [g], order)
@@ -238,6 +247,39 @@ class TestHeapDivisionAgainstRescan:
             assert q is not None and q * g == f
         else:
             assert q is None
+
+
+# Exponents at the ends of the envelope, where a field without a free top
+# bit would borrow from its neighbour.
+_EDGE_EXPONENTS = [0, 1, MAX_EXPONENT - 1, MAX_EXPONENT]
+
+
+def packed_divides(a: tuple, b: tuple) -> bool:
+    return _divisor([_pack(a)], _pack(b), _packing(len(a))[1]) == 0
+
+
+class TestPackedDivisibility:
+    @pytest.mark.parametrize("nvars", range(4))
+    def test_every_pair_of_edge_monomials(self, nvars):
+        monomials = list(itertools.product(_EDGE_EXPONENTS, repeat=nvars))
+        for a in monomials:
+            for b in monomials:
+                assert packed_divides(a, b) == mono_divides(a, b), (a, b)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        *[st.tuples(*[st.sampled_from(_EDGE_EXPONENTS)] * n)] * 2)))
+    def test_edge_monomials_in_up_to_five_variables(self, pair):
+        a, b = pair
+        assert packed_divides(a, b) == mono_divides(a, b)
+
+    def test_first_divisor_wins(self):
+        leads = [_pack(m) for m in [(2, 0), (1, 1), (0, 0)]]
+        guard = _packing(2)[1]
+        assert _divisor(leads, _pack((3, 1)), guard) == 0
+        assert _divisor(leads, _pack((1, 4)), guard) == 1
+        assert _divisor(leads, _pack((0, 7)), guard) == 2
+        assert _divisor(leads[:2], _pack((0, 7)), guard) is None
 
 
 class TestColength:
@@ -348,6 +390,120 @@ class TestDivideExact:
     def test_nondivisible_returns_none(self):
         R = PolyRing(5, ["x", "y"])
         assert divide_exact(R.parse("x^2+y"), R.parse("x")) is None
+
+
+# ---------------------------------------------------------------------------
+# Buchberger's Gebauer-Moeller pair update against the chain criterion.
+
+def reference_buchberger(gens, order=GREVLEX, ring=None):
+    """Buchberger with the product criterion and a chain criterion that scans
+    the basis for each popped pair, skipping (i, j) when some other lead_k
+    divides lcm(i, j) and neither (i, k) nor (j, k) is still pending."""
+    gens = [g for g in gens if g is not None and not g.is_zero()]
+    if not gens:
+        return []
+    basis = sorted({g.monic(order) for g in gens},
+                   key=lambda g: sorted((order.key(m), c) for m, c in g.terms.items()))
+    G, leads, pending, heap = [], [], set(), []
+
+    def add_poly(h):
+        j = len(G)
+        G.append(h)
+        lm = h.leading_monomial(order)
+        leads.append(lm)
+        for i in range(j):
+            pending.add((i, j))
+            heapq.heappush(heap, (order.key(mono_lcm(leads[i], lm)), i, j))
+
+    for g in basis:
+        g = normal_form(g, G, order)
+        if not g.is_zero():
+            add_poly(g.monic(order))
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        lcm = mono_lcm(leads[i], leads[j])
+        if lcm == mono_mul(leads[i], leads[j]):
+            continue
+        if any(k not in (i, j) and mono_divides(leads[k], lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k in range(len(G))):
+            continue
+        h = normal_form(_s_polynomial(G[i], G[j], order), G, order)
+        if not h.is_zero():
+            add_poly(h.monic(order))
+    keep = []
+    for i, lm in enumerate(leads):
+        if any(mono_divides(leads[j], lm) for j in keep):
+            continue
+        keep = [j for j in keep if not mono_divides(lm, leads[j])]
+        keep.append(i)
+    minimal = [G[i] for i in keep]
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = normal_form(g, minimal[:i] + minimal[i + 1:], order)
+        if not r.is_zero():
+            reduced.append(r.monic(order))
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return reduced
+
+
+def _orders(nvars):
+    return [GREVLEX, MonomialOrder.lex()] + [MonomialOrder.block(k) for k in range(1, nvars + 1)]
+
+
+@st.composite
+def ideal_cases(draw):
+    """A ring, an order and generators, homogeneous or not; the zero
+    polynomial and constants may occur among them."""
+    nvars = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
+    order = draw(st.sampled_from(_orders(nvars)))
+    homogeneous = draw(st.booleans())
+
+    def poly():
+        # degree at most 3, so that no lex basis grows out of desk scale
+        degrees = [draw(st.integers(0, 3))] if homogeneous else range(4)
+        mono = st.sampled_from([m for d in degrees for m in _monomials_of_degree(nvars, d)])
+        return ring.from_terms(draw(st.lists(st.tuples(mono, st.integers(1, p - 1)),
+                                             max_size=4)))
+    return ring, order, [poly() for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestPairUpdateAgainstChainCriterion:
+    @settings(max_examples=300, deadline=None)
+    @given(ideal_cases())
+    def test_same_reduced_gb(self, case):
+        ring, order, gens = case
+        assert buchberger(gens, order, ring) == reference_buchberger(gens, order, ring)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_zero_and_unit_ideals(self, p, nvars):
+        ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
+        for order in _orders(nvars):
+            assert buchberger([ring.zero()], order, ring) == [] == reference_buchberger(
+                [ring.zero()], order, ring)
+            unit = [ring.var(0) + 1, ring.var(0)]
+            assert buchberger(unit, order, ring) == [ring.one()] == reference_buchberger(
+                unit, order, ring)
+
+    def test_preimage_by_elimination_on_the_quadric_cone(self, monkeypatch):
+        # iq(A, 2) on xy - z^2 at p = 3 runs the elimination preimage of a
+        # positive-dimensional K, whose block-order bases are large
+        statements = ("ring R = char 3 vars x, y, z mod x*y-z^2", "ideal A = x^2-2*y*z",
+                      "C = iq(A,2)")
+
+        def run():
+            runner = ScriptRunner(seed=0)
+            for statement in statements:
+                runner.execute(statement)
+            return runner.ideals["C"].gb_strings()
+        got = run()
+        monkeypatch.setattr(groebner, "buchberger", reference_buchberger)
+        monkeypatch.setattr(rings, "buchberger", reference_buchberger)
+        assert got == run()
 
 
 # ---------------------------------------------------------------------------

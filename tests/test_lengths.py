@@ -33,11 +33,17 @@ class TestHkTable:
     @pytest.mark.parametrize("p, e, expected", [
         (2, 4, {2: 8, 4: 36, 8: 144, 16: 576}),
         (5, 2, {5: 55, 25: 1405}),
+        # the largest q per prime that the frobenius-hk benchmark reaches
+        (2, 7, {2: 8, 4: 36, 8: 144, 16: 576, 32: 2304, 64: 9216, 128: 36864}),
+        (5, 3, {5: 55, 25: 1405, 125: 35155}),
+        (7, 2, {7: 109, 49: 5401}),
+        (11, 2, {11: 271, 121: 32941}),
+        (13, 2, {13: 379, 169: 64261}),
     ])
     def test_fermat_cubic_monsky_values(self, p, e, expected):
         # e_HK(m) = 9/4 for a smooth plane cubic (Monsky, Math. Ann. 263,
         # 1983): l(R/m^[q]) = 9q^2/4 for p = 2, q >= 4, and (9q^2 - 5)/4
-        # for p = 5
+        # for odd p
         ring = RingContext(p, ["x", "y", "z"], "x^3+y^3+z^3")
         table = hk_table(ring.maximal_ideal(), e)
         assert {r.q: r.colength_bracket for r in table.rows[1:]} == expected

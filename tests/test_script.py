@@ -217,7 +217,7 @@ _NAMES = ["A", "B", "C", "X", "1A", ""]
 _GOOD_POLYS = ["x", "y", "z", "x^2+y^2", "x*y", "x^3+y*z^2", "x+y+z", "1", "0", "x^2-2*y*z"]
 _POLYS = _GOOD_POLYS + ["x+", "w", "x^99999999999999999999", "(x)", ""]
 _INTEGERS = ["0", "1", "2", "4", "-1", "2.5", "q"]
-_PIECES = {script.IDEAL: ["A", "B", "C"], script.INTEGER: ["0", "1"],
+_PIECES = {script.IDEAL: ["A", "B", "C"], script.INTEGER: ["0", "1", "2"],
            script.POWER: ["1", "2", "3"], script.POLY: _GOOD_POLYS}
 
 
