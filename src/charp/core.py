@@ -283,9 +283,6 @@ class PolyRing:
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
 
-    def extend(self, extra_variables) -> "PolyRing":
-        return PolyRing(self.field, self.variables + tuple(extra_variables))
-
 
 @total_ordering
 class Polynomial:

@@ -201,7 +201,7 @@ def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynom
     return a - b
 
 
-def buchberger(gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = None):
+def buchberger(gens, order: MonomialOrder = GREVLEX):
     """Canonical reduced Groebner basis of the ideal generated by ``gens``.
 
     Returns a list of monic polynomials, auto-reduced and sorted by
@@ -271,51 +271,20 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Variable remapping and elimination.
+# Elimination.
 
-def remap_polynomial(f: Polynomial, target: PolyRing, slot_map) -> Polynomial:
-    """Move f into ``target``, sending source variable i to slot slot_map[i].
+def eliminate(gens, k: int, ring: PolyRing):
+    """Generators of ideal(gens) intersected with F_p[variables after the
+    first k], as polynomials of ``ring``, whose variables those are.
 
-    slot_map[i] may be None only if variable i does not occur in f.
+    The eliminated variables are always a leading block of the generators'
+    ring: the two-block order compares them first (lex) and the rest by
+    grevlex, so the basis elements free of them are the reduced grevlex
+    basis of the intersection.
     """
-    n = target.nvars
-    terms = {}
-    for m, c in f.terms.items():
-        exps = [0] * n
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            j = slot_map[i]
-            if j is None:
-                raise AlgebraError("remap drops a variable that occurs in the polynomial")
-            exps[j] = e
-        terms[tuple(exps)] = c
-    return Polynomial(target, terms)
-
-
-def eliminate(gens, drop_indices, ring: PolyRing):
-    """Generators of ideal(gens) intersected with F_p[kept variables].
-
-    Returns reduced-GB generators as polynomials of ``ring`` with zero
-    exponents in the dropped slots (computed with a two-block order).
-    """
-    drop = sorted(set(drop_indices))
-    if not drop:
-        return buchberger(gens, GREVLEX, ring)
-    n = ring.nvars
-    keep = [i for i in range(n) if i not in drop]
-    perm = drop + keep  # permuted ring: dropped variables first
-    reordered = PolyRing(ring.field, tuple(ring.variables[i] for i in perm))
-    slot_of = {src: dst for dst, src in enumerate(perm)}
-    fwd = [slot_of[i] for i in range(n)]
-    moved = [remap_polynomial(g, reordered, fwd) for g in gens]
-    gb = buchberger(moved, MonomialOrder.block(len(drop)), reordered)
-    back = [perm[j] for j in range(n)]
-    out = []
-    for g in gb:
-        if all(m[i] == 0 for m in g.terms for i in range(len(drop))):
-            out.append(remap_polynomial(g, ring, back))
-    return out
+    gb = buchberger(gens, MonomialOrder.block(k))
+    return [Polynomial(ring, {m[k:]: c for m, c in g.terms.items()})
+            for g in gb if not any(any(m[:k]) for m in g.terms)]
 
 
 def krull_dimension(gb, nvars: int) -> int:

@@ -1,4 +1,5 @@
-"""Hilbert-Kunz style length tables for bracket and corner powers.
+"""Hilbert-Kunz style length tables of bracket powers, and the corner
+length identity.
 
 Lengths in quotient contexts are colengths of lifts (the lift carries the
 relation, so a single staircase-counting path suffices).  The leading
@@ -14,7 +15,6 @@ from fractions import Fraction
 
 from .core import AlgebraError
 from .frobenius import bracket_power, frobenius_q
-from .linkage import corner_power
 from .rings import Ideal, find_parameter_ideal
 
 
@@ -27,7 +27,6 @@ class LengthRow:
     e: int
     q: int
     colength_bracket: int
-    colength_corner: int | None
 
 
 @dataclass(frozen=True)
@@ -37,21 +36,12 @@ class LengthTable:
     leading_coefficient_estimate: Fraction
 
 
-def hk_table(I: Ideal, e_max: int, include_corner: bool = False,
-             rng: random.Random | None = None) -> LengthTable:
-    """Colengths of I^[q] (and I^<q> on request) for e = 0..e_max."""
+def hk_table(I: Ideal, e_max: int) -> LengthTable:
+    """Colengths of I^[q] for e = 0..e_max."""
     if not I.is_m_primary():
         raise NotMPrimary("length table needs an m-primary ideal")
-    if rng is None:
-        rng = random.Random(0x1E57)
-    rows = []
-    for e in range(e_max + 1):
-        q = frobenius_q(I.ring, e)
-        lb = bracket_power(I, e).colength()
-        lc = None
-        if include_corner:
-            lc = corner_power(I, e, samples=1, rng=rng).colength()
-        rows.append(LengthRow(e, q, lb, lc))
+    rows = [LengthRow(e, frobenius_q(I.ring, e), bracket_power(I, e).colength())
+            for e in range(e_max + 1)]
     d = I.ring.dim
     top = rows[-1]
     estimate = Fraction(top.colength_bracket, top.q ** d)

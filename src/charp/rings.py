@@ -42,7 +42,6 @@ import itertools
 import random
 
 from .core import (
-    GREVLEX,
     AlgebraError,
     PolyRing,
     Polynomial,
@@ -59,7 +58,6 @@ from .groebner import (
     frobenius_colon,
     krull_dimension,
     normal_form,
-    remap_polynomial,
     zero_dimensional_quotient,
 )
 
@@ -72,22 +70,19 @@ class DivisionWitnessFailure(AlgebraError):
     """Internal consistency error in a colon computation."""
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd in F_p[vars], via lcm = generator of (f) cap (g)."""
-    if f.is_zero():
-        return g.monic() if not g.is_zero() else g
-    if g.is_zero():
-        return f.monic()
-    ring = f.ring
-    inter = _intersect_gens([f], [g], ring)
-    gb = buchberger(inter, GREVLEX, ring)
-    if len(gb) != 1:
-        raise AlgebraError("intersection of principal ideals is not principal")
-    lcm = gb[0]
-    q = divide_exact(f * g, lcm)
-    if q is None:
-        raise DivisionWitnessFailure("lcm does not divide the product")
-    return q.monic()
+def coprime(polys) -> bool:
+    """True iff the polynomials share no nonconstant factor in F_p[vars].
+
+    S is a UFD, where the height-1 primes are the principal primes (h): the
+    polynomials share a prime factor exactly when the ideal they generate
+    lies in a prime of height at most 1, so they are coprime exactly when
+    it is (1) or has height at least 2.
+    """
+    gb = buchberger(polys)
+    if len(gb) == 1 and gb[0].is_constant():
+        return True
+    n = polys[0].ring.nvars
+    return n - krull_dimension(gb, n) >= 2
 
 
 def _fresh_var(names) -> str:
@@ -98,17 +93,17 @@ def _fresh_var(names) -> str:
 
 
 def _intersect_gens(gens_a, gens_b, ring: PolyRing):
-    """Generators of ideal(gens_a) cap ideal(gens_b) in a polynomial ring."""
-    aux = ring.extend([_fresh_var(ring.variables)])
-    n = ring.nvars
-    ident = list(range(n))
-    t = aux.var(n)
+    """Generators of ideal(gens_a) cap ideal(gens_b) in a polynomial ring:
+    eliminate t, the first variable, from t*(gens_a) + (1 - t)*(gens_b)."""
+    aux = PolyRing(ring.field, (_fresh_var(ring.variables),) + ring.variables)
+    t = aux.var(0)
     one_minus_t = aux.one() - t
-    mixed = [t * remap_polynomial(g, aux, ident) for g in gens_a]
-    mixed += [one_minus_t * remap_polynomial(g, aux, ident) for g in gens_b]
-    elim = eliminate(mixed, [n], aux)
-    back = ident + [None]
-    return [remap_polynomial(g, ring, back[: n + 1]) for g in elim]
+
+    def lift(g):
+        return Polynomial(aux, {(0,) + m: c for m, c in g.terms.items()})
+
+    mixed = [t * lift(g) for g in gens_a] + [one_minus_t * lift(g) for g in gens_b]
+    return eliminate(mixed, 1, ring)
 
 
 def _colon_gens(gens_a, gens_b, ring: PolyRing):
@@ -127,21 +122,20 @@ def _colon_gens(gens_a, gens_b, ring: PolyRing):
                     f"{g} in intersection with ({b}) but not divisible by it")
             quotient.append(q)
         result = quotient if result is None else _intersect_gens(result, quotient, ring)
-    return buchberger(result, GREVLEX, ring)
+    return buchberger(result)
 
 
 def _preimage_by_elimination(gb, q: int, ring: PolyRing) -> list:
-    """{u : u(x)^q in K} via K + (y_i - x_i^q), eliminating the x block."""
+    """{u : u(x)^q in K} via K + (y_i - x_i^q), eliminating the x block,
+    which comes first; the y block keeps the names of ``ring``."""
     n = ring.nvars
     names = ring.variables
-    aux = PolyRing(ring.field, names + tuple(f"{v}_q_" for v in names))
-    ident = list(range(n))
-    moved = [remap_polynomial(g, aux, ident) for g in gb]
+    aux = PolyRing(ring.field, tuple(f"{v}_q_" for v in names) + names)
+    pad = (0,) * n
+    moved = [Polynomial(aux, {m + pad: c for m, c in g.terms.items()}) for g in gb]
     for i in range(n):
         moved.append(aux.var(n + i) - aux.var(i) ** q)
-    elim = eliminate(moved, list(range(n)), aux)
-    back = [None] * n + ident
-    return [remap_polynomial(g, ring, back) for g in elim]
+    return eliminate(moved, n, ring)
 
 
 class RingContext:
@@ -149,7 +143,7 @@ class RingContext:
 
     With a relation f, the context models R = S/(f) with dim R = nvars - 1;
     f must be nonzero, nonunit, homogeneous and not a p-th power.  The
-    ``reduced`` flag records whether gcd(f, all partials) is a unit.
+    ``reduced`` flag records whether f and all its partials are coprime.
     """
 
     def __init__(self, p, variables, relation=None):
@@ -169,10 +163,7 @@ class RingContext:
             partials = [relation.derivative(i) for i in range(self.poly.nvars)]
             if all(d.is_zero() for d in partials):
                 raise AlgebraError("relation is a p-th power (all partials vanish)")
-            g = relation
-            for d in partials:
-                g = poly_gcd(g, d)
-            self.reduced = g.is_constant()
+            self.reduced = coprime([relation, *partials])
         self.relation = relation
         self._test_ideal = None  # written only by singularity.test_ideal
         self._relation_zeros = None  # written only by _rational_zeros
@@ -260,7 +251,7 @@ class Ideal:
     def gb(self):
         """Reduced grevlex GB of the lift; computed once, deterministic."""
         if self._gb is None:
-            self._gb = buchberger(self.lift_gens(), GREVLEX, self.ring.poly)
+            self._gb = buchberger(self.lift_gens())
         return self._gb
 
     def key(self):

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 from .core import AlgebraError, Polynomial
 from .frobenius import bracket_power, frobenius_q, frobenius_root
-from .groebner import normal_form
-from .rings import Ideal, RingContext, poly_gcd, twisted_colon
+from .rings import Ideal, RingContext, coprime, twisted_colon
 
 
 class NoTestElementFound(AlgebraError):
@@ -37,6 +36,7 @@ class NotStabilized(AlgebraError):
 
 
 MAX_CHAIN_STEPS = 30  # cap on the steps of the test-ideal chain
+_COMBO_TRIES = 64  # random Jacobian combinations tried for a test element
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,13 @@ class TestIdealResult:
     stable_at: int
 
 
-def test_element(ring: RingContext, rng: random.Random | None = None,
-                 max_combo_tries: int = 64) -> TestElementCertificate:
+def test_element(ring: RingContext) -> TestElementCertificate:
     """A test element from the Jacobian ideal of the hypersurface.
 
     For a polynomial ring the certificate is c = 1.  Otherwise candidates
-    are the nonzero partials of f, then small combinations of them; c must
-    be nonzero mod f and coprime to f (hence in R^0 for reduced f).
+    are the nonzero partials of f, then small combinations of them, then
+    ``_COMBO_TRIES`` random combinations; c must be coprime to f, hence
+    nonzero mod f (and in R^0 for reduced f).
     """
     if ring.relation is None:
         return TestElementCertificate(ring.poly.one(), ring)
@@ -67,28 +67,12 @@ def test_element(ring: RingContext, rng: random.Random | None = None,
     f = ring.relation
     partials = [f.derivative(i) for i in range(ring.poly.nvars)]
     partials = [d for d in partials if not d.is_zero()]
-
-    def usable(c: Polynomial) -> bool:
-        if c.is_zero():
-            return False
-        if normal_form(c, [f]).is_zero():
-            return False
-        return poly_gcd(c, f).is_constant()
-
-    for c in partials:
-        if usable(c):
-            return TestElementCertificate(c, ring)
-    for a, b in itertools.combinations(partials, 2):
-        if usable(a + b):
-            return TestElementCertificate(a + b, ring)
-    if rng is None:
-        rng = random.Random(0x7E57)
-    p = ring.field.p
-    for _ in range(max_combo_tries):
-        c = ring.poly.zero()
-        for d in partials:
-            c = c + d.scale(rng.randrange(p))
-        if usable(c):
+    pairs = (a + b for a, b in itertools.combinations(partials, 2))
+    rng, p = random.Random(0x7E57), ring.field.p
+    drawn = (sum((d.scale(rng.randrange(p)) for d in partials), ring.poly.zero())
+             for _ in range(_COMBO_TRIES))
+    for c in itertools.chain(partials, pairs, drawn):
+        if coprime([c, f]):
             return TestElementCertificate(c, ring)
     raise NoTestElementFound("no element of the Jacobian ideal is coprime to f")
 

@@ -122,7 +122,7 @@ def test_criterion_11_kernel_soundness_oracle():
         if not gens:
             continue
         ideals += 1
-        gb = buchberger(gens, ring=ring)
+        gb = buchberger(gens)
         gdicts = [poly_to_dict(g) for g in gens]
         queries = []
         for _ in range(3):

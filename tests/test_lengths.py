@@ -63,14 +63,6 @@ class TestHkTable:
         with pytest.raises(NotMPrimary):
             hk_table(fermat2.ideal("x"), 2)
 
-    def test_corner_column(self, fermat2):
-        table = hk_table(fermat2.ideal("x^2", "y^2", "z^2"), 1,
-                         include_corner=True, rng=random.Random(0))
-        row = table.rows[1]
-        assert row.colength_corner is not None
-        # corners contain brackets, so corner colengths are bounded above
-        assert row.colength_corner <= row.colength_bracket
-
 
 class TestCornerLengthIdentity:
     def test_worked_example_linked_ideal(self, fermat2):
