@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import total_ordering
-from operator import add, le
+from functools import cache, total_ordering
+from operator import add
 
 MAX_PRIME = 65521
 MAX_EXPONENT = 2**31 - 1
@@ -104,23 +104,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
     return out
 
 
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """True iff monomial a divides monomial b."""
-    return all(map(le, a, b))
-
-
-def mono_div(b: tuple, a: tuple) -> tuple:
-    """b / a; raises unless a divides b (exponents stay non-negative)."""
-    out = tuple(y - x for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ExponentOverflow(f"monomial {a} does not divide {b}")
-    return out
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
 def mono_deg(a: tuple) -> int:
     return sum(a)
 
@@ -169,19 +152,19 @@ class MonomialOrder:
         tail = exps[self.nelim:]
         return (head, sum(tail), tuple(-e for e in reversed(tail)))
 
-    def descending_key(self, exps: tuple):
-        """A sort key whose ascending order is this order's descending order.
-
-        Smallest key means largest monomial, so a ``heapq`` of these keys
-        pops monomials from the largest down.
-        """
+    @cache
+    def units(self, nvars: int) -> tuple:
+        """units[i] = 2^(32i) - w_i * 2^(32 nvars), w the weights: all 1 for
+        grevlex, 2^(64(nvars - 1 - i)) for lex, both for block(k), lex ones
+        on its block; sum m_i * units[i] packs m (``groebner``)."""
         if self.kind == "grevlex":
-            return (-sum(exps), exps[::-1])
-        if self.kind == "lex":
-            return tuple(-e for e in exps)
-        head = exps[: self.nelim]
-        tail = exps[self.nelim:]
-        return (tuple(-e for e in head), -sum(tail), tail[::-1])
+            weights = [1] * nvars
+        elif self.kind == "lex":
+            weights = [1 << 64 * (nvars - 1 - i) for i in range(nvars)]
+        else:
+            k = min(self.nelim, nvars)
+            weights = [1 << 64 * (self.nelim - i) for i in range(k)] + [1] * (nvars - k)
+        return tuple((1 << 32 * i) - (w << 32 * nvars) for i, w in enumerate(weights))
 
     def __eq__(self, other):
         return (
@@ -292,11 +275,11 @@ class Polynomial:
     The canonical (grevlex-descending) term tuple backs hashing, equality
     and printing, so equal polynomials have identical representations.
     The leading monomial is cached for the last order it was asked under,
-    and beside it what ``groebner`` prepares from that lead (the packed
-    lead and the reducer); a lead recomputed for another order clears both.
+    and so, separately, is the packed form ``groebner`` divides by; both
+    are filled in for the bases ``groebner.buchberger`` returns.
     """
 
-    __slots__ = ("ring", "terms", "_canon", "_lead_order", "_lead", "_packed_lead", "_reducer")
+    __slots__ = ("ring", "terms", "_canon", "_lead_order", "_lead", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -304,7 +287,7 @@ class Polynomial:
         self._canon = None
         self._lead_order = None
         self._lead = None
-        self._packed_lead = self._reducer = None
+        self._packed = None  # (order, packed form) from groebner
 
     # -- canonical form -------------------------------------------------------
 
@@ -337,7 +320,6 @@ class Polynomial:
                 raise AlgebraError("zero polynomial has no leading term")
             self._lead = max(self.terms, key=order.key)
             self._lead_order = order
-            self._packed_lead = self._reducer = None
         return self._lead
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:

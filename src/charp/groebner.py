@@ -4,18 +4,23 @@ Reduced bases are canonical for a fixed order, which makes them the ideal
 equality oracle used throughout the package.  Pure functions over immutable
 inputs; desk-scale inputs only (no F4/F5, no Hilbert-driven variants).
 
-Division pops terms from a heap of ``MonomialOrder.descending_key`` keys, so
-each term's order key is computed once, when the term first appears, instead
-of rescanning the remaining terms for their maximum at every step.  A
-divisor's reducer (inverse lead coefficient, tail terms, exponent slack) is
-prepared once per polynomial and order and kept on the polynomial, so the
-reductions of one ``buchberger`` run, and the membership tests that share a
-Groebner basis, prepare each basis element once.  Whether a lead divides a
-term is one test on packed ints (Roune & Stillman, ISSAC 2012), exponents in
-32-bit fields whose free top bits guard against borrows.  ``buchberger``
-pops pairs by least lcm and updates them as Gebauer & Moeller do (J. Symb.
-Comp. 6, 1988): a new element h adds one pair per minimal lcm and drops each
-pair (i, k) whose lcm lm(h) divides, unless lcm(i, h) or lcm(k, h) equals it.
+Division runs on monomials packed into one int, the key k(m) = sum of
+m_i * u_i with u_i = 2^(32i) - w_i * 2^(32n) (``MonomialOrder.units``), w
+the order's weights in 64-bit mixed radix.  So k(m) = P(m) - W(m) * 2^(32n):
+P(m) < 2^(32n) holds the exponents in 32-bit fields and W(m) is the weight,
+for grevlex the degree.  A smaller key is a larger monomial, by W and then
+by P, whose top field is the last exponent, so a ``heapq`` of keys pops the
+largest term first (Monagan & Pearce, J. Symb. Comp. 46, 2011).  Keys add as
+monomials multiply.  With G the top bit of each field, which no exponent up
+to MAX_EXPONENT = 2^31 - 1 reaches, a divides b iff
+((k(b) | G) - k(a)) & G == G, negative keys included (Roune & Stillman,
+ISSAC 2012); against a divisor's packed slack it keeps a multiple inside
+the envelope.  Tuples are packed on entry and unpacked on exit; ``_divide``
+is the one division loop.  ``buchberger`` builds S-polynomials from the
+packed tails of its monic elements, pops pairs by least lcm and updates them
+as Gebauer & Moeller do (J. Symb. Comp. 6, 1988): a new element h adds one
+pair per minimal lcm and drops each pair (i, k) whose lcm lm(h) divides,
+unless lcm(i, h) or lcm(k, h) equals it.
 
 Colengths are counted column by column: along the variable with the largest
 pure-power bound, the standard monomials over each point of the remaining
@@ -52,7 +57,7 @@ import heapq
 import itertools
 import struct
 from functools import cache, reduce
-from operator import add, le, mul, or_, sub
+from operator import le, mul, or_
 
 from .core import (
     GREVLEX,
@@ -62,8 +67,6 @@ from .core import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    mono_div,
-    mono_lcm,
 )
 
 
@@ -74,46 +77,55 @@ class UnitIdeal(AlgebraError):
 INFINITE = float("inf")
 
 
-def _reducer(g: Polynomial, order: MonomialOrder):
-    """(inverse lead coefficient, tail terms, per-variable slack) of g.
-
-    Prepared once per polynomial and order, and kept on g beside its cached
-    lead, which clears it when the lead is recomputed for another order.
-    A multiple g * x^shift stays inside the exponent envelope iff shift is
-    at most the slack, MAX_EXPONENT minus g's largest exponent, in every
-    variable.
-    """
-    lm = g.leading_monomial(order)
-    r = g._reducer
-    if r is None:
-        terms = g.terms
-        tail = [(gm, gc) for gm, gc in terms.items() if gm != lm]
-        slack = tuple(MAX_EXPONENT - max(col) for col in zip(*terms))
-        r = g._reducer = (g.ring.field.inv(terms[lm]), tail, slack)
-    return r
+@cache
+def _guard(nvars: int) -> int:
+    """The top bit of every 32-bit exponent field."""
+    return sum(1 << 32 * i + 31 for i in range(nvars))
 
 
 @cache
-def _packing(nvars: int):
-    """(pack, guard): ``int.from_bytes(pack(*m), "little")`` packs m with
-    exponent i in the 32-bit field at bit 32 * i, whose top bit, which no
-    exponent up to MAX_EXPONENT = 2^31 - 1 reaches, ``guard`` sets."""
-    return struct.Struct(f"<{nvars}I").pack, sum(1 << 32 * i + 31 for i in range(nvars))
+def _exponents(nvars: int):
+    """key -> exponent tuple, read off the key's low 32 * nvars bits."""
+    unpack, low, size = struct.Struct(f"<{nvars}I").unpack, (1 << 32 * nvars) - 1, 4 * nvars
+    return lambda k: unpack((k & low).to_bytes(size, "little"))
 
 
-def _pack(m: tuple) -> int:
-    return int.from_bytes(_packing(len(m))[0](*m), "little")
+def _to_keys(f: Polynomial, order: MonomialOrder) -> dict:
+    units = order.units(f.ring.nvars)
+    return {sum(map(mul, m, units)): c for m, c in f.terms.items()}
 
 
-def _packed_lead(g: Polynomial, order: MonomialOrder) -> int:
-    lm = g.leading_monomial(order)  # clears a packed lead kept for another order
-    if g._packed_lead is None:
-        g._packed_lead = _pack(lm)
-    return g._packed_lead
+def _from_keys(ring: PolyRing, terms: dict) -> Polynomial:
+    exponents = _exponents(ring.nvars)
+    return Polynomial(ring, {exponents(k): c for k, c in terms.items()})
+
+
+def _slack(monomials, guard: int) -> int:
+    """MAX_EXPONENT minus each variable's largest exponent, packed, | guard."""
+    return sum((MAX_EXPONENT - max(col)) << 32 * i
+               for i, col in enumerate(zip(*monomials))) | guard
+
+
+def _packed(g: Polynomial, order: MonomialOrder):
+    """The packed form of a nonzero g under ``order``, kept on g: (lead key,
+    inverse lead coefficient, tail terms as (key, coefficient), slack)."""
+    cached = g._packed
+    if cached is None or cached[0] is not order:
+        terms = list(_to_keys(g, order).items())
+        lead, c = min(terms)
+        cached = g._packed = order, (lead, g.ring.field.inv(c),
+                                     [t for t in terms if t[0] != lead],
+                                     _slack(g.terms, _guard(g.ring.nvars)))
+    return cached[1]
+
+
+def packed_basis(basis, order: MonomialOrder = GREVLEX) -> list:
+    """The packed forms of the nonzero elements of ``basis``, in order."""
+    return [_packed(g, order) for g in basis if g.terms]
 
 
 def _divisor(leads, m: int, guard: int):
-    """Index of the first of the packed ``leads`` dividing the packed m, or None.
+    """Index of the first of the ``leads`` dividing m, all keys, or None.
 
     Each field of m | guard is 2^31 + m_i and each lead field is below 2^31,
     so no field borrows from the next, and a field keeps its guard bit iff
@@ -126,30 +138,55 @@ def _divisor(leads, m: int, guard: int):
     return None
 
 
-def _subtract_multiple(work: dict, heap: list, dkey, tail, slack, shift: tuple,
-                       factor: int, p: int):
-    """work -= factor * x^shift * tail; monomials new to work enter the heap."""
-    if not all(map(le, shift, slack)):
-        raise ExponentOverflow(f"exponent overflow in a multiple by {shift}")
-    for gm, gc in tail:
-        t = tuple(map(add, gm, shift))
-        s = work.get(t)
-        if s is None:
-            work[t] = (-factor * gc) % p
-            heapq.heappush(heap, (dkey(t), t))
-        else:
-            s = (s - factor * gc) % p
-            if s:
-                work[t] = s
-            else:
-                del work[t]
-
-
-def _term_heap(work: dict, order: MonomialOrder):
-    dkey = order.descending_key
-    heap = [(dkey(m), m) for m in work]
+def _divide(work: dict, reducers, guard: int, p: int, quotient=None) -> dict:
+    """The remainder, largest term first, of ``work`` ({key: coefficient},
+    consumed, zeros skipped) by the packed ``reducers``: the largest term is
+    reduced by the first one whose lead divides it.  A dict ``quotient``
+    gets each multiple's coefficient at its shift; division then stops at
+    the first term that no lead divides."""
+    heap = list(work)
     heapq.heapify(heap)
-    return heap, dkey
+    rest: dict = {}
+    while heap:
+        m = heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue  # given as zero, or cancelled after it was pushed
+        mg = m | guard
+        for lead, inv, tail, slack in reducers:
+            if (mg - lead) & guard == guard:
+                break
+        else:
+            rest[m] = c
+            if quotient is not None:
+                break
+            continue
+        shift = m - lead
+        if (slack - shift) & guard != guard:
+            raise ExponentOverflow("exponent overflow in a multiple of a divisor")
+        factor = c * inv % p
+        if quotient is not None:
+            quotient[shift] = factor
+        for t, d in tail:
+            t += shift
+            s = work.get(t)
+            if s is None:
+                work[t] = -factor * d % p
+                heapq.heappush(heap, t)
+            else:
+                s = (s - factor * d) % p
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+    return rest
+
+
+def remainder(f: Polynomial, packed, order: MonomialOrder = GREVLEX) -> Polynomial:
+    """``normal_form`` of f by the basis whose ``packed_basis`` is ``packed``."""
+    ring = f.ring
+    return _from_keys(ring, _divide(_to_keys(f, order), packed, _guard(ring.nvars),
+                                    ring.field.p))
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -159,46 +196,8 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
     Groebner basis for ``order``.  Each step reduces the largest remaining
     term by the first basis element whose lead divides it.
     """
-    basis = [g for g in basis if not g.is_zero()]
-    if not basis or f.is_zero():
-        return f
-    ring = f.ring
-    p = ring.field.p
-    leads = [g.leading_monomial(order) for g in basis]
-    packed = [_packed_lead(g, order) for g in basis]
-    pack, guard = _packing(ring.nvars)
-    reducers = [None] * len(basis)  # prepared on first use
-    work = dict(f.terms)
-    heap, dkey = _term_heap(work, order)
-    remainder: dict = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue  # cancelled after it was pushed
-        i = _divisor(packed, int.from_bytes(pack(*m), "little"), guard)
-        if i is None:
-            remainder[m] = c
-            continue
-        r = reducers[i]
-        if r is None:
-            r = reducers[i] = _reducer(basis[i], order)
-        lc_inv, tail, slack = r
-        _subtract_multiple(work, heap, dkey, tail, slack, tuple(map(sub, m, leads[i])),
-                           c * lc_inv % p, p)
-    return Polynomial(ring, remainder)
-
-
-def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
-    lcm = mono_lcm(lf, lg)
-    cf = f.leading_coefficient(order)
-    cg = g.leading_coefficient(order)
-    field = f.ring.field
-    a = f.mul_monomial(mono_div(lcm, lf), field.inv(cf))
-    b = g.mul_monomial(mono_div(lcm, lg), field.inv(cg))
-    return a - b
+    packed = packed_basis(basis, order)
+    return remainder(f, packed, order) if packed and f.terms else f
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX):
@@ -211,62 +210,85 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     gens = [g for g in gens if g is not None and not g.is_zero()]
     if not gens:
         return []
-    guard = _packing(gens[0].ring.nvars)[1]
-    G, leads, packed = [], [], []  # every element added, its lead, its packed lead
+    ring = gens[0].ring
+    n, p = ring.nvars, ring.field.p
+    units, guard, exponents = order.units(n), _guard(n), _exponents(n)
+    G, leads = [], []  # the packed form of every element added; its lead's exponents
     active, basis = [], []  # the indices i whose lead no later lead divides; G[i]
-    heap = []  # the pairs still to reduce: (order key of lcm, i, j, packed lcm)
+    heap = []  # the pairs still to reduce: (-key of their lcm, i, j), least lcm first
 
-    def add_poly(h: Polynomial):
-        """Append h to G and update the pairs (Gebauer & Moeller)."""
-        j, lm, hp = len(G), h.leading_monomial(order), _packed_lead(h, order)
-        lcms = [mono_lcm(lead, lm) for lead in leads]
-        plcms = [_pack(lcm) for lcm in lcms]
+    def add_poly(h: dict):
+        """Append the remainder h, made monic, to G and update the pairs
+        (Gebauer & Moeller)."""
+        j, hp = len(G), next(iter(h))  # a remainder lists its lead first
+        inv, monomials = pow(h[hp], p - 2, p), [exponents(k) for k in h]
+        lcms = [sum(map(mul, map(max, lead, monomials[0]), units)) for lead in leads]
         # criterion B: drop (i, k) when lm(h) divides its lcm, unless the
         # lcm is that of (i, h) or of (k, h)
-        heap[:] = [pair for pair in heap if ((pair[3] | guard) - hp) & guard != guard
-                   or plcms[pair[1]] == pair[3] or plcms[pair[2]] == pair[3]]
+        heap[:] = [pair for pair in heap if ((-pair[0] | guard) - hp) & guard != guard
+                   or lcms[pair[1]] == -pair[0] or lcms[pair[2]] == -pair[0]]
         heapq.heapify(heap)
         # the new pairs (i, h), i active: one per lcm (criterion F), none
         # whose lcm another properly divides (criterion M), none of a class
         # with coprime leads in it (product criterion)
-        classes = {}  # packed lcm -> (first i, whether some member's leads are coprime)
+        classes = {}  # lcm -> (first i, whether some member's leads are coprime)
         for i in active:
-            first, coprime = classes.get(plcms[i], (i, False))
-            classes[plcms[i]] = first, coprime or plcms[i] == packed[i] + hp
+            first, coprime = classes.get(lcms[i], (i, False))
+            classes[lcms[i]] = first, coprime or lcms[i] == G[i][0] + hp
         minimal = []  # a monomial order puts every lcm after its divisors
-        for key, i, lcm, coprime in sorted((order.key(lcms[i]), i, lcm, coprime)
-                                           for lcm, (i, coprime) in classes.items()):
+        for lcm in sorted(classes, reverse=True):
             if _divisor(minimal, lcm, guard) is None:
                 minimal.append(lcm)
+                i, coprime = classes[lcm]
                 if not coprime:
-                    heapq.heappush(heap, (key, i, j, lcm))
+                    heapq.heappush(heap, (-lcm, i, j))
         # retire the active elements whose lead lm(h) divides; none divides lm(h)
-        active[:] = [i for i in active if ((packed[i] | guard) - hp) & guard != guard] + [j]
-        G.append(h)
-        leads.append(lm)
-        packed.append(hp)
+        active[:] = [i for i in active if ((G[i][0] | guard) - hp) & guard != guard] + [j]
+        G.append((hp, 1, [(k, c * inv % p) for k, c in itertools.islice(h.items(), 1, None)],
+                  _slack(monomials, guard)))
+        leads.append(monomials[0])
         basis[:] = [G[i] for i in active]
 
-    # deterministic starting point, each generator once
-    for g, _ in itertools.groupby(sorted((g.monic(order) for g in gens),
-                                         key=Polynomial.canonical_terms)):
-        g = normal_form(g, basis, order)
-        if not g.is_zero():
-            add_poly(g.monic(order))
+    # deterministic start: each monic generator once (the first given), in canonical order
+    starts = {}
+    for g in gens:
+        terms = _to_keys(g, order)
+        inv = pow(terms[min(terms)], p - 2, p)
+        g = g.scale(inv)
+        starts.setdefault(g.canonical_terms(), (g, {k: c * inv % p for k, c in terms.items()}))
+    starts = [start for _, start in sorted(starts.items())]
+    for _, work in starts:
+        h = _divide(work, basis, guard, p)
+        if h:
+            add_poly(h)
 
     while heap:
-        _, i, j, _ = heapq.heappop(heap)
-        h = normal_form(_s_polynomial(G[i], G[j], order), basis, order)
-        if not h.is_zero():
-            add_poly(h.monic(order))
+        lcm, i, j = heapq.heappop(heap)
+        (lead_i, _, tail_i, slack_i), (lead_j, _, tail_j, slack_j) = G[i], G[j]
+        shift_i, shift_j = -lcm - lead_i, -lcm - lead_j
+        if (slack_i - shift_i) & guard != guard or (slack_j - shift_j) & guard != guard:
+            raise ExponentOverflow("exponent overflow in an S-polynomial")
+        # the S-polynomial shift_i * G[i] - shift_j * G[j], whose leads cancel
+        work = {t + shift_i: c for t, c in tail_i}
+        for t, c in tail_j:
+            work[t + shift_j] = (work.get(t + shift_j, 0) - c) % p
+        h = _divide(work, basis, guard, p)  # it skips zero coefficients
+        if h:
+            add_poly(h)
 
-    # interreduce the tails of the minimal basis
+    if active == [0]:
+        return [starts[0][0]]  # as given: division by no basis changes nothing
+    # interreduce the tails of the minimal basis; leads stay, with coefficient 1
     reduced = []
-    for i, g in enumerate(basis):
-        r = normal_form(g, basis[:i] + basis[i + 1:], order)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    for i, (lead, _, tail, _) in enumerate(basis):
+        r = _divide(dict([(lead, 1), *tail]), basis[:i] + basis[i + 1:], guard, p)
+        monomials = [exponents(k) for k in r]
+        g = Polynomial(ring, dict(zip(monomials, r.values())))
+        g._lead_order, g._lead = order, monomials[0]
+        g._packed = order, (lead, 1, list(itertools.islice(r.items(), 1, None)),
+                            _slack(monomials, guard))
+        reduced.append(g)
+    reduced.sort(key=lambda g: g._packed[1][0], reverse=True)
     return reduced
 
 
@@ -334,11 +356,10 @@ def _staircase(gb, nvars: int):
     # leads as (exponent on axis, other exponents), lowest cut first
     cuts = sorted((m[axis], m[:axis] + m[axis + 1:]) for m in leads)
     heights = [height for height, _ in cuts]
-    rests = [_pack(rest) for _, rest in cuts]
-    pack, guard = _packing(nvars - 1)
+    units, guard = GREVLEX.units(nvars - 1), _guard(nvars - 1)
+    rests = [sum(map(mul, rest, units)) for _, rest in cuts]
     others = bounds[:axis] + bounds[axis + 1:]
-    return axis, [(prefix, heights[_divisor(rests, int.from_bytes(pack(*prefix), "little"),
-                                            guard)])
+    return axis, [(prefix, heights[_divisor(rests, sum(map(mul, prefix, units)), guard)])
                   for prefix in itertools.product(*(range(b) for b in others))]
 
 
@@ -518,12 +539,14 @@ class _Quotient:
         self.p = p = ring.field.p
         self.width = _width(p)
         self.nvars = ring.nvars
-        self.standard: dict = {}
-        for m in sorted(monomials, key=GREVLEX.descending_key, reverse=True):
-            self.standard.setdefault(sum(m), []).append(m)
+        units = GREVLEX.units(self.nvars)  # ascending grevlex is descending key
+        self.standard = {d: list(ms) for d, ms in itertools.groupby(sorted(
+            monomials, key=lambda m: sum(map(mul, m, units)), reverse=True), key=sum)}
         self.top = max(self.standard, default=-1)
         self.weights = [(self.top + 1) ** i for i in range(self.nvars)]
-        self.reducers = [(g.leading_monomial(GREVLEX), _reducer(g, GREVLEX)[1]) for g in gb]
+        leads = [g.leading_monomial(GREVLEX) for g in gb]
+        self.reducers = [(lm, [t for t in g.terms.items() if t[0] != lm])
+                         for lm, g in zip(leads, gb)]
         # (lead, key(lead), (key(t), -c mod p) of each tail term c * t), with
         # key(t) alone over F_2, where the XOR loops need no coefficient
         term = (lambda t, c: self.key(t)) if p == 2 else (lambda t, c: (self.key(t), -c % p))
@@ -608,19 +631,14 @@ class _Quotient:
         pivot gives its row, and a minimal lead of g in A's GB gives g with
         its pivot tail terms reduced by their rows; no row reduction runs.
         """
-        rows: dict = {}  # pivot -> RREF row as a dict, over all degrees
-        for d, monomials in self.standard.items():
-            if d in kernels:
-                rows.update((monomials[(v.bit_length() - 1) // self.width], self.unpack(d, v))
-                            for v in kernels[d])
-            else:
-                rows.update((u, {u: 1}) for u in monomials)
+        rows = {self.standard[d][(v.bit_length() - 1) // self.width]: self.unpack(d, v)
+                for d, vecs in kernels.items() for v in vecs}  # pivot -> RREF row
 
         def minimal(m):
             # each m / x_i is standard, so it lies in the lead ideal of A + V
-            # iff it is a pivot
-            return not any(e and m[:i] + (e - 1,) + m[i + 1:] in rows
-                           for i, e in enumerate(m))
+            # iff its degree lies wholly in V or it is a pivot
+            return not any(m) if sum(m) - 1 not in kernels else not any(
+                e and m[:i] + (e - 1,) + m[i + 1:] in rows for i, e in enumerate(m))
 
         out = []
         for lm, tail in self.reducers:
@@ -628,13 +646,18 @@ class _Quotient:
                 terms = {lm: 1}
                 terms.update(tail)
                 for t, c in tail:
-                    row = rows.get(t)
+                    row = rows.get(t) if sum(t) in kernels else {t: 1}
                     if row is not None:
                         _axpy(terms, -c, row, self.p)
                 out.append(terms)
         out.extend(row for pivot, row in rows.items() if minimal(pivot))
+        # a degree wholly in V above another one adds no minimal monomial
+        out.extend({u: 1} for d, monomials in self.standard.items()
+                   if d not in kernels and (d == 0 or d - 1 in kernels)
+                   for u in monomials if minimal(u))
+        units = GREVLEX.units(self.nvars)
         gens = [Polynomial(self.ring, dict(sorted(terms.items(),
-                                                  key=lambda t: GREVLEX.descending_key(t[0]))))
+                                                  key=lambda t: sum(map(mul, t[0], units)))))
                 for terms in out]
         gens.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
         return gens
@@ -701,23 +724,8 @@ def divide_exact(f: Polynomial, g: Polynomial):
         return None
     if f.is_zero():
         return f
-    order = GREVLEX
-    ring = f.ring
-    p = ring.field.p
-    lg = g.leading_monomial(order)
-    cg_inv, tail, slack = _reducer(g, order)
-    work = dict(f.terms)
-    heap, dkey = _term_heap(work, order)
     quotient: dict = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        if not all(map(le, lg, m)):
-            return None
-        shift = tuple(map(sub, m, lg))
-        factor = c * cg_inv % p
-        quotient[shift] = factor
-        _subtract_multiple(work, heap, dkey, tail, slack, shift, factor, p)
-    return Polynomial(ring, quotient)
+    if _divide(_to_keys(f, GREVLEX), [_packed(g, GREVLEX)], _guard(f.ring.nvars),
+               f.ring.field.p, quotient):
+        return None
+    return _from_keys(f.ring, quotient)

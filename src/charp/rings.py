@@ -21,8 +21,9 @@ remainder that no lead of G divides, and NF is F_p-linear: f - NF(f) and
 g - NF(g) lie in the ideal, so NF(f) + c*NF(g) is a reduced representative
 of f + c*g and hence its normal form.  So NF(f) = sum c_m * NF(m) over the
 terms c_m * m of f, and the table stores NF(m) once per monomial m met,
-computed by ``normal_form`` on m itself.  The sum equals ``normal_form(f, G)``
-term for term; it only skips the repeated divisions.
+computed by dividing m by the packed view of G (``groebner.packed_basis``)
+kept beside the table.  The sum equals ``normal_form(f, G)`` term for term;
+it only skips the repeated divisions.
 
 The parameter searches reject some random candidates without a Groebner
 basis.  When the target height is dim R, a candidate whose elements are
@@ -57,7 +58,8 @@ from .groebner import (
     eliminate,
     frobenius_colon,
     krull_dimension,
-    normal_form,
+    packed_basis,
+    remainder,
     zero_dimensional_quotient,
 )
 
@@ -127,10 +129,14 @@ def _colon_gens(gens_a, gens_b, ring: PolyRing):
 
 def _preimage_by_elimination(gb, q: int, ring: PolyRing) -> list:
     """{u : u(x)^q in K} via K + (y_i - x_i^q), eliminating the x block,
-    which comes first; the y block keeps the names of ``ring``."""
+    which comes first; the y block keeps the names of ``ring``, and the x
+    block's names are chosen outside them."""
     n = ring.nvars
     names = ring.variables
-    aux = PolyRing(ring.field, tuple(f"{v}_q_" for v in names) + names)
+    suffix = "_q_"
+    while any(v + suffix in names for v in names):
+        suffix += "_"
+    aux = PolyRing(ring.field, tuple(v + suffix for v in names) + names)
     pad = (0,) * n
     moved = [Polynomial(aux, {m + pad: c for m, c in g.terms.items()}) for g in gb]
     for i in range(n):
@@ -220,7 +226,7 @@ class Ideal:
     always a member, so carrying it among generators is harmless).
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_height", "_nf")
+    __slots__ = ("ring", "gens", "_gb", "_height", "_nf", "_packed")
 
     def __init__(self, ring: RingContext, gens):
         self.ring = ring
@@ -235,10 +241,12 @@ class Ideal:
         self.gens = tuple(checked)
         self._gb = None
         self._height = None
-        # monomial -> NF(monomial) mod _gb as (monomial, coefficient) pairs;
-        # exact only because _gb never changes once set (``gb`` and
-        # ``_with_reduced_gb`` are its only writers)
+        # monomial -> NF(monomial) mod _gb as (monomial, coefficient) pairs,
+        # and the packed view of _gb that computes them; exact only because
+        # _gb never changes once set (``gb`` and ``_with_reduced_gb`` are its
+        # only writers)
         self._nf = {}
+        self._packed = None
 
     # -- canonical basis ------------------------------------------------------
 
@@ -286,14 +294,16 @@ class Ideal:
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f against the lifted GB (canonical representative),
         summed from the table of monomial normal forms (module docstring)."""
-        gb, table = self.gb, self._nf
+        table = self._nf
+        if self._packed is None:
+            self._packed = packed_basis(self.gb)
         ring = self.ring.poly
         p = ring.field.p
         acc: dict = {}
         for m, c in f.terms.items():
             row = table.get(m)
             if row is None:
-                nf = normal_form(Polynomial(ring, {m: 1}), gb)
+                nf = remainder(Polynomial(ring, {m: 1}), self._packed)
                 row = table[m] = list(nf.terms.items())
             for t, d in row:
                 acc[t] = acc.get(t, 0) + c * d

@@ -206,6 +206,17 @@ class TestFrobeniusPreimage:
         L = frobenius_preimage(K, 1)
         assert K.contains_ideal(bracket_power(L, 1))
 
+    @pytest.mark.parametrize("gen", ["x^2+x_q_", "x^2*x_q_"])
+    def test_ring_names_cannot_clash_with_the_eliminated_block(self, gen):
+        # both ideals go to the elimination preimage, whose eliminated block
+        # must be named outside the ring's names; the same ideal under names
+        # that cannot clash is the reference
+        clash = frobenius_preimage(RingContext(3, ["x", "x_q_"]).ideal(gen), 1)
+        plain = frobenius_preimage(
+            RingContext(3, ["a", "b"]).ideal(gen.replace("x_q_", "b").replace("x", "a")), 1)
+        assert clash.gb_strings() == [g.replace("b", "x_q_").replace("a", "x")
+                                      for g in plain.gb_strings()]
+
     def test_quotient_context(self, fermat2):
         # computed on lifts: the relation is q-th-power compatible
         K = fermat2.ideal("x^2", "y^2", "z^2")

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+from operator import le, mul, sub
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,21 +14,16 @@ from charp.core import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    mono_div,
-    mono_divides,
-    mono_lcm,
     mono_mul,
 )
 from charp.groebner import (
     INFINITE,
     _Quotient,
     _divisor,
+    _exponents,
+    _guard,
     _monomials_of_degree,
-    _pack,
-    _packed_lead,
-    _packing,
-    _reducer,
-    _s_polynomial,
+    _packed,
     _staircase,
     _staircase_monomials,
     _normaliser,
@@ -40,6 +36,36 @@ from charp.groebner import (
 )
 from charp.script import ScriptRunner
 from oracle import oracle_member, poly_to_dict, random_homogeneous_dict
+
+
+# Tuple references for the monomial arithmetic that groebner does on keys.
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    return all(map(le, a, b))
+
+
+def mono_div(b: tuple, a: tuple) -> tuple:
+    """b / a, for a dividing b."""
+    return tuple(map(sub, b, a))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def _s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
+    """S(f, g) built from exponent tuples by ``Polynomial.mul_monomial``,
+    which raises ExponentOverflow where a multiple leaves the envelope."""
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    lcm = mono_lcm(lf, lg)
+    field = f.ring.field
+    return (f.mul_monomial(mono_div(lcm, lf), field.inv(f.leading_coefficient(order)))
+            - g.mul_monomial(mono_div(lcm, lg), field.inv(g.leading_coefficient(order))))
+
+
+def packed_key(m: tuple, order) -> int:
+    """The packed key of m under ``order``."""
+    return sum(map(mul, m, order.units(len(m))))
 
 
 def is_groebner(basis, order=GREVLEX) -> bool:
@@ -149,6 +175,18 @@ class TestNormalForm:
             normal_form(R.parse("x*y"), basis, lex)
         assert normal_form(R.var("x"), basis, lex) == -R.monomial((0, MAX_EXPONENT))
 
+    def test_s_pair_multiple_leaving_the_envelope(self):
+        # the leads x*y and x^2 (lex) divide neither each other nor any
+        # other term, so S = x*z - y^(MAX+1)*z is the first multiple taken,
+        # and its second half leaves the envelope
+        R = PolyRing(5, ["x", "y", "z"])
+        lex = MonomialOrder.lex()
+        g1, g2 = R.parse("x*y+z"), R.parse("x^2") + R.monomial((0, MAX_EXPONENT, 1))
+        with pytest.raises(ExponentOverflow):
+            _s_polynomial(g1, g2, lex)
+        with pytest.raises(ExponentOverflow, match="S-polynomial"):
+            buchberger([g1, g2], lex)
+
     def test_reducer_cache_follows_order(self):
         # g's lead is 3*y^4 under grevlex, 2*x*y^2 under lex and x*z^3 under
         # block(1).  A reducer kept from another order would put the lead
@@ -161,10 +199,10 @@ class TestNormalForm:
         for order in (GREVLEX, MonomialOrder.lex(), MonomialOrder.block(1), GREVLEX,
                       MonomialOrder.lex()):
             lm = max(g.terms, key=order.key)
-            lc_inv, tail, _ = _reducer(g, order)
-            assert _packed_lead(g, order) == _pack(lm)
+            lead, lc_inv, tail, _ = _packed(g, order)
+            assert lead == packed_key(lm, order)
             assert lc_inv * g.terms[lm] % 5 == 1
-            assert dict(tail) == {m: c for m, c in g.terms.items() if m != lm}
+            assert dict(tail) == {packed_key(m, order): c for m, c in g.terms.items() if m != lm}
             want = reference_normal_form(f, [g], order)
             assert list(normal_form(f, [g], order).terms.items()) == list(want.terms.items())
             assert normal_form(g * h, [g], order).is_zero()
@@ -254,32 +292,78 @@ class TestHeapDivisionAgainstRescan:
 _EDGE_EXPONENTS = [0, 1, MAX_EXPONENT - 1, MAX_EXPONENT]
 
 
-def packed_divides(a: tuple, b: tuple) -> bool:
-    return _divisor([_pack(a)], _pack(b), _packing(len(a))[1]) == 0
+def packed_divides(a: tuple, b: tuple, order=GREVLEX) -> bool:
+    return _divisor([packed_key(a, order)], packed_key(b, order), _guard(len(a))) == 0
+
+
+def _edge_pairs(n):
+    monomials = list(itertools.product(_EDGE_EXPONENTS, repeat=n))
+    return [(a, b) for a in monomials for b in monomials]
+
+
+_EDGE_PAIRS_UP_TO_FIVE = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    *[st.tuples(*[st.sampled_from(_EDGE_EXPONENTS)] * n)] * 2))
 
 
 class TestPackedDivisibility:
+    """The guard test on keys decides divisibility under every order, though
+    the keys of different orders differ above the exponent fields."""
+
     @pytest.mark.parametrize("nvars", range(4))
     def test_every_pair_of_edge_monomials(self, nvars):
-        monomials = list(itertools.product(_EDGE_EXPONENTS, repeat=nvars))
-        for a in monomials:
-            for b in monomials:
-                assert packed_divides(a, b) == mono_divides(a, b), (a, b)
+        for order in _orders(nvars):
+            for a, b in _edge_pairs(nvars):
+                assert packed_divides(a, b, order) == mono_divides(a, b), (order, a, b)
 
     @settings(max_examples=500, deadline=None)
-    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
-        *[st.tuples(*[st.sampled_from(_EDGE_EXPONENTS)] * n)] * 2)))
+    @given(_EDGE_PAIRS_UP_TO_FIVE)
     def test_edge_monomials_in_up_to_five_variables(self, pair):
         a, b = pair
-        assert packed_divides(a, b) == mono_divides(a, b)
+        for order in _orders(len(a)):
+            assert packed_divides(a, b, order) == mono_divides(a, b)
 
     def test_first_divisor_wins(self):
-        leads = [_pack(m) for m in [(2, 0), (1, 1), (0, 0)]]
-        guard = _packing(2)[1]
-        assert _divisor(leads, _pack((3, 1)), guard) == 0
-        assert _divisor(leads, _pack((1, 4)), guard) == 1
-        assert _divisor(leads, _pack((0, 7)), guard) == 2
-        assert _divisor(leads[:2], _pack((0, 7)), guard) is None
+        leads = [packed_key(m, GREVLEX) for m in [(2, 0), (1, 1), (0, 0)]]
+        guard = _guard(2)
+        assert _divisor(leads, packed_key((3, 1), GREVLEX), guard) == 0
+        assert _divisor(leads, packed_key((1, 4), GREVLEX), guard) == 1
+        assert _divisor(leads, packed_key((0, 7), GREVLEX), guard) == 2
+        assert _divisor(leads[:2], packed_key((0, 7), GREVLEX), guard) is None
+
+
+def check_keys(a: tuple, b: tuple, order):
+    """A smaller key is a larger monomial, keys add as monomials multiply,
+    and the low bits of a key are the exponents, even of a product past the
+    envelope, whose exponents still fit in 32 bits."""
+    ka, kb = packed_key(a, order), packed_key(b, order)
+    assert (ka < kb) == (order.key(a) > order.key(b)), (order, a, b)
+    assert (ka == kb) == (a == b)
+    assert _exponents(len(a))(ka) == a
+    assert _exponents(len(a))(ka + kb) == tuple(x + y for x, y in zip(a, b))
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("nvars", range(4))
+    def test_every_pair_of_edge_monomials(self, nvars):
+        for order in _orders(nvars):
+            for a, b in _edge_pairs(nvars):
+                check_keys(a, b, order)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_EDGE_PAIRS_UP_TO_FIVE)
+    def test_edge_monomials_in_up_to_five_variables(self, pair):
+        for order in _orders(len(pair[0])):
+            check_keys(*pair, order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        *[st.tuples(*[st.integers(0, 6)] * n)] * 3)))
+    def test_products_keep_the_order(self, monomials):
+        a, b, c = monomials
+        for order in _orders(len(a)):
+            assert ((packed_key(a, order) + packed_key(c, order)
+                     < packed_key(b, order) + packed_key(c, order))
+                    == (order.key(mono_mul(a, c)) > order.key(mono_mul(b, c))))
 
 
 class TestColength:
