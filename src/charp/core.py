@@ -7,6 +7,11 @@ equality and printing.  Monomials are plain tuples of non-negative integer
 exponents, one slot per ring variable.  All operations are pure functions;
 values may be freely shared.
 
+A monomial order is given by its packed keys alone (``MonomialOrder.units``):
+k(m) = sum of m_i * units[i] is one int, a smaller key is a larger monomial,
+and keys add as monomials multiply.  Leading terms, the canonical term order
+and every division in ``groebner`` compare these keys.
+
 ``parse_polynomial`` reads a text with one ``findall`` scan, whose tokens
 are a number, a variable with its optional exponent, an operator or any
 other non-space character, and one loop over them.  Token positions are
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cache, total_ordering
-from operator import add
+from operator import add, mul
 
 MAX_PRIME = 65521
 MAX_EXPONENT = 2**31 - 1
@@ -116,11 +121,11 @@ def mono_pow(a: tuple, n: int) -> tuple:
 
 
 class MonomialOrder:
-    """A total multiplicative monomial order, given by a sort key.
+    """A total multiplicative monomial order, given by packed keys.
 
-    Larger key means larger monomial.  Kinds: lex, grevlex, and a two-block
-    elimination order (first ``nelim`` variables lex, compared before the
-    grevlex-ordered tail).
+    A smaller key is a larger monomial (``units``).  Kinds: lex, grevlex,
+    and a two-block elimination order (first ``nelim`` variables lex,
+    compared before the grevlex-ordered tail).
     """
 
     __slots__ = ("kind", "nelim")
@@ -128,6 +133,8 @@ class MonomialOrder:
     def __init__(self, kind: str, nelim: int = 0):
         if kind not in ("lex", "grevlex", "block"):
             raise AlgebraError(f"unknown monomial order {kind!r}")
+        if type(nelim) is not int or nelim < 0:
+            raise AlgebraError(f"block size must be an int >= 0, got {nelim!r}")
         self.kind = kind
         self.nelim = nelim
 
@@ -143,20 +150,13 @@ class MonomialOrder:
     def block(nelim: int) -> "MonomialOrder":
         return MonomialOrder("block", nelim)
 
-    def key(self, exps: tuple):
-        if self.kind == "grevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        if self.kind == "lex":
-            return exps
-        head = exps[: self.nelim]
-        tail = exps[self.nelim:]
-        return (head, sum(tail), tuple(-e for e in reversed(tail)))
-
     @cache
     def units(self, nvars: int) -> tuple:
         """units[i] = 2^(32i) - w_i * 2^(32 nvars), w the weights: all 1 for
         grevlex, 2^(64(nvars - 1 - i)) for lex, both for block(k), lex ones
-        on its block; sum m_i * units[i] packs m (``groebner``)."""
+        on its block.  The key sum m_i * units[i] is P(m) - W(m) * 2^(32 nvars),
+        P the exponents in 32-bit fields, the last on top, and W the weight,
+        so a smaller key is a larger monomial (``groebner``)."""
         if self.kind == "grevlex":
             weights = [1] * nvars
         elif self.kind == "lex":
@@ -206,7 +206,7 @@ class PolyRing:
         return len(self.variables)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables
@@ -293,9 +293,9 @@ class Polynomial:
 
     def canonical_terms(self) -> tuple:
         if self._canon is None:
-            self._canon = tuple(
-                sorted(self.terms.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
-            )
+            units = GREVLEX.units(self.ring.nvars)
+            self._canon = tuple(sorted(self.terms.items(),
+                                       key=lambda t: sum(map(mul, t[0], units))))
         return self._canon
 
     def is_zero(self) -> bool:
@@ -318,7 +318,8 @@ class Polynomial:
         if self._lead_order is not order:
             if not self.terms:
                 raise AlgebraError("zero polynomial has no leading term")
-            self._lead = max(self.terms, key=order.key)
+            units = order.units(self.ring.nvars)
+            self._lead = min(self.terms, key=lambda m: sum(map(mul, m, units)))
             self._lead_order = order
         return self._lead
 
@@ -339,16 +340,6 @@ class Polynomial:
         if c == 1:
             return self
         return Polynomial(self.ring, {m: (a * c) % p for m, a in self.terms.items()})
-
-    def mul_monomial(self, exps: tuple, coeff: int = 1) -> "Polynomial":
-        p = self.ring.field.p
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {mono_mul(m, exps): (a * coeff) % p for m, a in self.terms.items()},
-        )
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -41,8 +41,10 @@ and Marinari, Moeller & Mora (AAECC 4, 1993).  A normal-form table depends
 on its degree alone, so only the degrees q * d + deg b are tabulated.  The
 reduced basis is read off the kernels, which come out in reduced row
 echelon form, and equals ``buchberger``'s.  The per-degree kernels run on
-rows packed into ints, one field per standard monomial, and table keys are
-ints, so multiplying monomials is one integer addition.  Over F_2 a field
+rows packed into ints, one field per standard monomial.  Standard
+monomials, table keys and reducers are the grevlex keys that division uses,
+so multiplying monomials is one integer addition, u^q is one
+multiplication, and the degree of k is -(k >> 32n).  Over F_2 a field
 is one bit and adding two rows is one XOR (the M4RI idea of Albrecht &
 Bard).  Over odd p a field has b = bitlen(p(p - 1)) + 1 bits, as in
 Harvey's Kronecker packing (J. Symb. Comp. 44, 2009): y + c * x is one
@@ -57,7 +59,7 @@ import heapq
 import itertools
 import struct
 from functools import cache, reduce
-from operator import le, mul, or_
+from operator import mul, or_
 
 from .core import (
     GREVLEX,
@@ -331,14 +333,15 @@ def _staircase(gb, nvars: int):
     """Column heights of the staircase of the lead-term ideal of ``gb``.
 
     ``gb`` is not the unit ideal.  Returns None when some variable has no
-    pure power among the leads (infinite colength), else ``(axis, columns)``:
-    ``axis`` has the largest pure-power bound b_axis, and ``columns`` lists
-    ``(prefix, height)`` for each point ``prefix`` of the box prod(range(b_i))
-    with ``axis`` removed, in ``itertools.product`` order.  The standard
-    monomials over ``prefix`` have exponent t < height on ``axis``; height
-    is the least m[axis] over the leads m whose other exponents divide
-    ``prefix``, which the pure power of ``axis`` caps at b_axis.  With no
-    variables, ``axis`` is None and the box's one point () is one column.
+    pure power among the leads (infinite colength), else ``(unit, columns)``:
+    ``unit`` is the grevlex unit of the variable ``axis`` with the largest
+    pure-power bound b_axis, and ``columns`` lists ``(key, height)`` for
+    each point of the box prod(range(b_i)) with ``axis`` removed, ``key``
+    its grevlex key.  The standard monomials over it have the keys
+    key + t * unit, t < height; height is the least m[axis] over the leads
+    m whose other exponents divide the point, which the pure power of
+    ``axis`` caps at b_axis.  With no variables, the box's one point, key 0,
+    is one column.
     """
     leads = [g.leading_monomial(GREVLEX) for g in gb]
     bounds = [None] * nvars
@@ -351,16 +354,18 @@ def _staircase(gb, nvars: int):
     if any(b is None for b in bounds):
         return None
     if not nvars:
-        return None, [((), 1)]
+        return 0, [(0, 1)]
     axis = max(range(nvars), key=lambda i: (bounds[i], i))
-    # leads as (exponent on axis, other exponents), lowest cut first
-    cuts = sorted((m[axis], m[:axis] + m[axis + 1:]) for m in leads)
+    units, guard = GREVLEX.units(nvars), _guard(nvars)
+    # leads as (exponent on axis, key of the other exponents), lowest cut first
+    cuts = sorted((m[axis], sum(map(mul, m, units)) - m[axis] * units[axis]) for m in leads)
     heights = [height for height, _ in cuts]
-    units, guard = GREVLEX.units(nvars - 1), _guard(nvars - 1)
-    rests = [sum(map(mul, rest, units)) for _, rest in cuts]
-    others = bounds[:axis] + bounds[axis + 1:]
-    return axis, [(prefix, heights[_divisor(rests, sum(map(mul, prefix, units)), guard)])
-                  for prefix in itertools.product(*(range(b) for b in others))]
+    rests = [rest for _, rest in cuts]
+    keys = [0]
+    for i in range(nvars):
+        if i != axis:
+            keys = [k + e * units[i] for k in keys for e in range(bounds[i])]
+    return units[axis], [(k, heights[_divisor(rests, k, guard)]) for k in keys]
 
 
 def colength(gb, nvars: int):
@@ -376,28 +381,20 @@ def colength(gb, nvars: int):
     return sum(height for _, height in staircase[1])
 
 
-def _staircase_monomials(staircase) -> list:
-    """The standard monomials under a ``_staircase``, sorted ascending."""
-    axis, columns = staircase
-    if axis is None:
-        return [()]
-    return sorted(prefix[:axis] + (t,) + prefix[axis:]
-                  for prefix, height in columns for t in range(height))
-
-
 # ---------------------------------------------------------------------------
 # Colons of zero-dimensional homogeneous ideals by linear algebra.
 
-def _monomials_of_degree(nvars: int, e: int) -> list:
-    """Every monomial of degree e, ascending in grevlex; none when e < 0."""
-    if nvars == 0 or e < 0:
-        return [()] if e == 0 else []
+def _keys_of_degree(units, e: int) -> list:
+    """The keys under the grevlex ``units`` of every monomial of degree e,
+    descending, so ascending in grevlex; none when e < 0."""
+    if not units or e < 0:
+        return [0] if e == 0 else []
     # ascending grevlex within a degree: the last exponent falls first, then
-    # the one before it, and so on
-    tails = [()]
-    for _ in range(nvars - 1):
-        tails = [(k,) + t for t in tails for k in range(e - sum(t), -1, -1)]
-    return [(e - sum(t),) + t for t in tails]
+    # the one before it, and so on; (key, degree left) of each tail
+    tails = [(0, e)]
+    for u in reversed(units[1:]):
+        tails = [(k + j * u, left - j) for k, left in tails for j in range(left, -1, -1)]
+    return [k + left * units[0] for k, left in tails]
 
 
 def _width(p: int) -> int:
@@ -516,82 +513,72 @@ def _axpy(y: dict, a: int, x: dict, p: int):
 class _Quotient:
     """S/A for the reduced grevlex GB of a homogeneous A of finite colength.
 
-    Holds A's standard monomials by degree, in ascending grevlex, with the
-    top standard degree, and the (lead, tail terms) of each element of the
-    GB.  A subspace V of span(standard monomials) with A + V an ideal is
-    kept as one kernel basis per degree; ``basis`` reads the reduced GB of
-    A + V off them.  ``monomials`` lists the standard monomials of A;
-    ``zero_dimensional_quotient`` builds one.
+    Holds the grevlex keys of A's standard monomials by degree, in ascending
+    grevlex (descending key), with the top standard degree, and the
+    ``packed_basis`` of the GB as reducers.  A subspace V of span(standard
+    monomials) with A + V an ideal is kept as one kernel basis per degree;
+    ``basis`` reads the reduced GB of A + V off them.
+    ``zero_dimensional_quotient`` builds one from A's standard keys, given
+    in descending order.
 
     A vector of degree d is a packed row, an int whose field i, ``_width(p)``
     bits wide, holds the coefficient of ``standard[d][i]``, so the top field
     is the largest monomial.  Over F_2 adding two rows is one XOR; over odd
     p, y + c * x is one addition and one multiplication of ints followed by
-    a ``_normaliser``.  Table keys are ints too: m -> sum m_i * B^i with
-    B > top, so x^c * t is one integer addition and u^q is one
-    multiplication; no carry occurs, as no exponent in a table exceeds the
-    top standard degree.  The keys of a degree's standard monomials are
-    built when a call first needs them.
+    a ``_normaliser``.  Table keys are grevlex keys too, so x^c * t is one
+    integer addition and u^q is one multiplication.
     """
 
-    def __init__(self, gb, ring: PolyRing, monomials):
+    def __init__(self, gb, ring: PolyRing, keys):
         self.ring = ring
         self.p = p = ring.field.p
         self.width = _width(p)
-        self.nvars = ring.nvars
-        units = GREVLEX.units(self.nvars)  # ascending grevlex is descending key
-        self.standard = {d: list(ms) for d, ms in itertools.groupby(sorted(
-            monomials, key=lambda m: sum(map(mul, m, units)), reverse=True), key=sum)}
+        self.units, self.guard = GREVLEX.units(ring.nvars), _guard(ring.nvars)
+        # descending keys ascend in grevlex, so in degree
+        self.standard = {d: list(ks) for d, ks in itertools.groupby(keys, key=self.degree)}
         self.top = max(self.standard, default=-1)
-        self.weights = [(self.top + 1) ** i for i in range(self.nvars)]
-        leads = [g.leading_monomial(GREVLEX) for g in gb]
-        self.reducers = [(lm, [t for t in g.terms.items() if t[0] != lm])
-                         for lm, g in zip(leads, gb)]
-        # (lead, key(lead), (key(t), -c mod p) of each tail term c * t), with
-        # key(t) alone over F_2, where the XOR loops need no coefficient
-        term = (lambda t, c: self.key(t)) if p == 2 else (lambda t, c: (self.key(t), -c % p))
-        self.packed_reducers = [(lm, self.key(lm), [term(t, c) for t, c in tail])
-                                for lm, tail in self.reducers]
-        self.ukeys: dict = {}  # degree -> key of each standard monomial
+        self.reducers = packed_basis(gb)
+        self.leads = [lead for lead, _, _, _ in self.reducers]
 
-    def key(self, m: tuple) -> int:
-        return sum(map(mul, m, self.weights))
+    def degree(self, k: int) -> int:
+        """The degree of the monomial with grevlex key k, its weight."""
+        return -(k >> 32 * len(self.units))
 
     def table(self, e: int) -> dict:
-        """{key(m): NF(m)} for every monomial m of degree e, NF(m) a packed row.
+        """{k: NF(m)} for every monomial m of degree e, k its key and NF(m) a
+        packed row.
 
         A non-standard m = x^c * lead(g) has NF(m) = -sum c_t NF(x^c * t)
         over g's tail terms t; each x^c * t is smaller than m, so walking the
         monomials in ascending grevlex finds its normal form already computed.
         """
-        standard, key, b, p = self.standard[e] + [None], self.key, self.width, self.p
+        standard, b, p = self.standard[e] + [None], self.width, self.p
+        reducers, leads, guard = self.reducers, self.leads, self.guard
         normal = p != 2 and _normaliser(p, len(standard) - 1)
         table, i = {}, 0
-        for m in _monomials_of_degree(self.nvars, e):
-            k = key(m)
-            if m == standard[i]:  # both ascend in grevlex: m is standard[e][i]
+        for k in _keys_of_degree(self.units, e):
+            if k == standard[i]:  # both ascend in grevlex: k is standard[e][i]
                 table[k] = 1 << i * b
                 i += 1
                 continue
-            for lm, lk, tail in self.packed_reducers:
-                if all(map(le, lm, m)):
-                    break
-            shift = k - lk
+            lead, _, tail, _ = reducers[_divisor(leads, k, guard)]
+            shift = k - lead
             row = 0
             if normal:
                 for t, c in tail:
                     row = normal(row + c * table[t + shift])
+                table[k] = normal((p - 1) * row)  # negated once, not per term
             else:
-                for t in tail:
+                for t, _ in tail:
                     row ^= table[t + shift]
-            table[k] = row
+                table[k] = row
         return table
 
     def image(self, divisors, q: int, e: int, table: dict):
-        """key(u) -> NF(u^q * b_j) concatenated at field offset j * len(standard[e]),
-        ``divisors`` of one degree as (keys, coefficients) of their terms and
-        ``table`` the normal forms of degree e = q * deg u + deg b;
-        key(u^q * t) is q * key(u) + key(t)."""
+        """u -> NF(u^q * b_j) concatenated at field offset j * len(standard[e]),
+        u and the ``divisors`` of one degree given by keys, {key: coefficient},
+        and ``table`` the normal forms of degree e = q * deg u + deg b; the
+        key of u^q * t is q * u + t."""
         n = len(self.standard[e])
         p, offset = self.p, n * self.width
         normal = p != 2 and _normaliser(p, n)
@@ -599,13 +586,13 @@ class _Quotient:
         def image(uk):
             uk *= q
             out = 0
-            for j, (keys, coefficients) in enumerate(divisors):
+            for j, terms in enumerate(divisors):
                 acc = 0
                 if normal:
-                    for t, c in zip(keys, coefficients):
+                    for t, c in terms.items():
                         acc = normal(acc + c * table[uk + t])
                 else:
-                    for t in keys:
+                    for t in terms:
                         acc ^= table[uk + t]
                 out |= acc << j * offset
             return out
@@ -613,14 +600,12 @@ class _Quotient:
 
     def narrow(self, kernel, d: int, image) -> list:
         """``_narrow`` of a degree-d kernel (None: all of it) by ``image``."""
-        if d not in self.ukeys:
-            self.ukeys[d] = [self.key(u) for u in self.standard[d]]
-        ukeys = self.ukeys[d]
-        return _narrow(kernel, len(ukeys), lambda i: image(ukeys[i]), self.p)
+        keys = self.standard[d]
+        return _narrow(kernel, len(keys), lambda i: image(keys[i]), self.p)
 
     def unpack(self, d: int, vec: int) -> dict:
-        monomials = self.standard[d]
-        return {monomials[i]: c for i, c in _fields(vec, self.width)}
+        keys = self.standard[d]
+        return {keys[i]: c for i, c in _fields(vec, self.width)}
 
     def basis(self, kernels: dict) -> list:
         """Reduced grevlex GB of A + V, V given by ``kernels``: degree -> kernel
@@ -633,34 +618,32 @@ class _Quotient:
         """
         rows = {self.standard[d][(v.bit_length() - 1) // self.width]: self.unpack(d, v)
                 for d, vecs in kernels.items() for v in vecs}  # pivot -> RREF row
+        units, degree = self.units, self.degree
 
-        def minimal(m):
-            # each m / x_i is standard, so it lies in the lead ideal of A + V
-            # iff its degree lies wholly in V or it is a pivot
-            return not any(m) if sum(m) - 1 not in kernels else not any(
-                e and m[:i] + (e - 1,) + m[i + 1:] in rows for i, e in enumerate(m))
+        def minimal(k):
+            # each m / x_i, key k - u_i where exponent i is nonzero, is
+            # standard, so it lies in the lead ideal of A + V iff its degree
+            # lies wholly in V or it is a pivot
+            return not k if degree(k) - 1 not in kernels else not any(
+                k >> 32 * i & 0xFFFFFFFF and k - u in rows for i, u in enumerate(units))
 
         out = []
-        for lm, tail in self.reducers:
-            if minimal(lm):
-                terms = {lm: 1}
+        for lead, _, tail, _ in self.reducers:
+            if minimal(lead):
+                terms = {lead: 1}
                 terms.update(tail)
                 for t, c in tail:
-                    row = rows.get(t) if sum(t) in kernels else {t: 1}
+                    row = rows.get(t) if degree(t) in kernels else {t: 1}
                     if row is not None:
                         _axpy(terms, -c, row, self.p)
                 out.append(terms)
         out.extend(row for pivot, row in rows.items() if minimal(pivot))
         # a degree wholly in V above another one adds no minimal monomial
-        out.extend({u: 1} for d, monomials in self.standard.items()
+        out.extend({u: 1} for d, keys in self.standard.items()
                    if d not in kernels and (d == 0 or d - 1 in kernels)
-                   for u in monomials if minimal(u))
-        units = GREVLEX.units(self.nvars)
-        gens = [Polynomial(self.ring, dict(sorted(terms.items(),
-                                                  key=lambda t: sum(map(mul, t[0], units)))))
-                for terms in out]
-        gens.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
-        return gens
+                   for u in keys if minimal(u))
+        out.sort(key=min, reverse=True)  # ascending leads
+        return [_from_keys(self.ring, dict(sorted(terms.items()))) for terms in out]
 
 
 def zero_dimensional_quotient(gb, ring: PolyRing):
@@ -669,18 +652,20 @@ def zero_dimensional_quotient(gb, ring: PolyRing):
     colength.
 
     The staircase of A is walked once, here: the test for finite colength
-    and the standard monomials of the quotient share it.
+    and the standard monomials of the quotient share it.  Their keys are
+    sorted once, in descending order.
     """
     if not all(g.is_homogeneous() for g in gb):
         return None
-    if any(g.is_constant() and not g.is_zero() for g in gb):
-        monomials = []
-    else:
+    keys = []
+    if not any(g.is_constant() and not g.is_zero() for g in gb):
         staircase = _staircase(gb, ring.nvars)
         if staircase is None:
             return None
-        monomials = _staircase_monomials(staircase)
-    return _Quotient(gb, ring, monomials)
+        unit, columns = staircase
+        keys = sorted((k + t * unit for k, height in columns for t in range(height)),
+                      reverse=True)
+    return _Quotient(gb, ring, keys)
 
 
 def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
@@ -702,8 +687,7 @@ def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
     by_degree: dict = {}
     for b in divisors:
         if b.degree() <= quotient.top:
-            by_degree.setdefault(b.degree(), []).append(
-                (list(map(quotient.key, b.terms)), list(b.terms.values())))
+            by_degree.setdefault(b.degree(), []).append(_to_keys(b, GREVLEX))
     kernels: dict = {}  # degree -> narrowed kernel basis; absent: never narrowed
     for e in range(quotient.top + 1):
         narrow = [(delta, (e - delta) // q) for delta in sorted(by_degree)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import AlgebraError, Polynomial
+from .core import GREVLEX, AlgebraError, Polynomial
 from .frobenius import bracket_power, frobenius_q
-from .groebner import _fields, _monomials_of_degree, _narrow, _width
+from .groebner import _exponents, _fields, _keys_of_degree, _narrow, _to_keys, _width
 from .rings import (
     Ideal,
     ParameterSearchFailed,
@@ -90,18 +90,20 @@ def _lift(f: Polynomial, b: Ideal) -> list:
     deg f, has one vector through f's column: 1 there, and the coefficients
     of -c_j on the columns of b_j."""
     ring = b.ring.poly
-    p, w = ring.field.p, _width(ring.field.p)
+    p, w, units = ring.field.p, _width(ring.field.p), GREVLEX.units(ring.nvars)
     gens = b.lift_gens()
-    index = {m: i for i, m in enumerate(_monomials_of_degree(ring.nvars, f.degree()))}
+    keys = [_to_keys(g, GREVLEX) for g in gens + [f]]
+    index = {k: i for i, k in enumerate(_keys_of_degree(units, f.degree()))}
     columns = [(j, u) for j, g in enumerate(gens)
-               for u in _monomials_of_degree(ring.nvars, f.degree() - g.degree())]
-    images = [gens[j].mul_monomial(u).terms for j, u in columns] + [f.terms]
-    packed = [sum(c << index[m] * w for m, c in terms.items()) for terms in images]
+               for u in _keys_of_degree(units, f.degree() - g.degree())]
+    columns.append((len(gens), 0))  # f's own column, the last
+    packed = [sum(c << index[t + u] * w for t, c in keys[j].items()) for j, u in columns]
     kernel = _narrow(None, len(packed), packed.__getitem__, p)
-    if not kernel or not kernel[-1] >> len(columns) * w:
+    if not kernel or not kernel[-1] >> (len(columns) - 1) * w:
         raise AlgebraError("need a contained in b")
-    vec = dict(_fields(kernel[-1], w))
-    return [ring.from_terms((u, -vec.get(i, 0)) for i, (k, u) in enumerate(columns) if k == j)
+    vec, exponents = dict(_fields(kernel[-1], w)), _exponents(ring.nvars)
+    return [ring.from_terms((exponents(u), -vec.get(i, 0))
+                            for i, (k, u) in enumerate(columns) if k == j)
             for j in range(len(b.gens))]
 
 

@@ -100,3 +100,17 @@ def random_homogeneous_dict(nvars: int, degree: int, p: int,
 
 def poly_to_dict(poly) -> dict:
     return {m: int(c) for m, c in poly.terms.items()}
+
+
+def order_key(order):
+    """The tuple sort key of a ``MonomialOrder``, independent of its packed
+    keys: a larger key is a larger monomial.  Grevlex compares the degree,
+    then the negated exponents from the last; block(k) compares its first
+    k exponents lexicographically, then its tail by grevlex."""
+    def grevlex(exps):
+        return sum(exps), tuple(-e for e in reversed(exps))
+    if order.kind == "grevlex":
+        return grevlex
+    if order.kind == "lex":
+        return tuple
+    return lambda exps: (exps[:order.nelim], grevlex(exps[order.nelim:]))

@@ -133,7 +133,7 @@ def test_criterion_11_kernel_soundness_oracle():
         g0 = gens[0]
         pad = max(0, 6 - g0.degree())
         mono = tuple(min(pad, 1) if i == 0 else 0 for i in range(n))
-        queries.append(g0.mul_monomial(mono))
+        queries.append(g0 * ring.monomial(mono))
         for f in queries:
             if f.is_zero() or f.degree() > 6:
                 continue

@@ -19,6 +19,7 @@ from charp.core import (
     mono_mul,
     parse_polynomial,
 )
+from oracle import order_key
 
 R2 = PolyRing(2, ["x", "y", "z"])
 R5 = PolyRing(5, ["x", "y"])
@@ -58,6 +59,11 @@ def packed_key(m: tuple, order=GREVLEX) -> int:
     return sum(map(mul, m, order.units(len(m))))
 
 
+def rank(order):
+    """The packed key of ``order``, negated: a larger rank is a larger monomial."""
+    return lambda m: -packed_key(m, order)
+
+
 def guard_divides(a: tuple, b: tuple) -> bool:
     """Whether a divides b, by the guard test on their packed keys."""
     guard = sum(1 << 32 * i + 31 for i in range(len(a)))
@@ -87,18 +93,19 @@ class TestMonomialOrder:
     def test_multiplicative(self, u, v, w):
         for order in (MonomialOrder.lex(), MonomialOrder.grevlex(),
                       MonomialOrder.block(1)):
-            if order.key(u) < order.key(v):
-                assert order.key(mono_mul(u, w)) < order.key(mono_mul(v, w))
+            key = rank(order)
+            if key(u) < key(v):
+                assert key(mono_mul(u, w)) < key(mono_mul(v, w))
 
     @given(st.tuples(st.integers(0, 5), st.integers(0, 5)))
     def test_one_minimal(self, u):
         for order in (MonomialOrder.lex(), MonomialOrder.grevlex()):
             if u != (0, 0):
-                assert order.key((0, 0)) < order.key(u)
+                assert rank(order)((0, 0)) < rank(order)(u)
 
     def test_grevlex_classic(self):
         # x^2 y z > x y^3 in grevlex? deg 4 vs 4; compare reversed negatives
-        k = GREVLEX.key
+        k = rank(GREVLEX)
         assert k((1, 1, 1)) < k((3, 0, 0)) or k((3, 0, 0)) < k((1, 1, 1))
         # x > y > z
         assert k((1, 0, 0)) > k((0, 1, 0)) > k((0, 0, 1))
@@ -106,7 +113,7 @@ class TestMonomialOrder:
     def test_block_eliminates_first_variables(self):
         order = MonomialOrder.block(1)
         # any monomial containing the first variable beats any that does not
-        assert order.key((1, 0, 0)) > order.key((0, 5, 5))
+        assert rank(order)((1, 0, 0)) > rank(order)((0, 5, 5))
 
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
@@ -115,14 +122,63 @@ class TestMonomialOrder:
         for order in (MonomialOrder.lex(), GREVLEX, MonomialOrder.block(1),
                       MonomialOrder.block(2)):
             assert (sorted(monos, key=lambda m: packed_key(m, order))
-                    == sorted(monos, key=order.key)[::-1])
+                    == sorted(monos, key=order_key(order))[::-1])
 
     def test_lead_cache_follows_order(self):
         # leads y^4, x*y^2, x*z^3, y^4: each order picks a different term
         f = R2.parse("x*z^3+x*y^2+y^4+z^2+y")
         for order in (GREVLEX, MonomialOrder.lex(), MonomialOrder.block(1), GREVLEX):
-            assert f.leading_monomial(order) == max(f.terms, key=order.key)
-            assert f.leading_coefficient(order) == f.terms[max(f.terms, key=order.key)]
+            assert f.leading_monomial(order) == max(f.terms, key=order_key(order))
+            assert f.leading_coefficient(order) == f.terms[max(f.terms, key=order_key(order))]
+
+    @pytest.mark.parametrize("nelim", [-1, 1.0, "1", None, True])
+    def test_block_size_must_be_a_natural_number(self, nelim):
+        # block(-1) once packed 4 units for 3 variables, so its lead of
+        # x^2+x*y+z^3 was z^3 where the tuple order gave x^2
+        with pytest.raises(AlgebraError, match="block size"):
+            MonomialOrder.block(nelim)
+        with pytest.raises(AlgebraError, match="block size"):
+            MonomialOrder("lex", nelim)
+
+    def test_block_of_every_size(self):
+        f = R2.parse("x^2+x*y+z^3")
+        assert [f.leading_monomial(MonomialOrder.block(k)) for k in range(5)] == [
+            (0, 0, 3), (2, 0, 0), (2, 0, 0), (2, 0, 0), (2, 0, 0)]
+        assert all(len(MonomialOrder.block(k).units(3)) == 3 for k in range(5))
+
+
+_FULL_EXPONENT = st.integers(0, MAX_EXPONENT) | st.sampled_from([MAX_EXPONENT - 1, MAX_EXPONENT])
+
+
+@st.composite
+def ordered_polynomials(draw):
+    """(order, polynomial): lex, grevlex or block(k), k = 0..n, and up to 8
+    terms in 0-4 variables with exponents anywhere in [0, 2^31 - 1]."""
+    n = draw(st.integers(0, 4))
+    ring = PolyRing(7, [f"x{i}" for i in range(n)])
+    order = draw(st.sampled_from([MonomialOrder.lex(), GREVLEX]
+                                 + [MonomialOrder.block(k) for k in range(n + 1)]))
+    terms = draw(st.lists(st.tuples(st.tuples(*[_FULL_EXPONENT] * n), st.integers(1, 6)),
+                          min_size=1, max_size=8))
+    return order, ring.from_terms(terms)
+
+
+class TestPackedOrderAgainstTupleReference:
+    """Leads and the canonical term order come from packed keys; they agree
+    with the tuple reference of every order at every exponent."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_polynomials())
+    @example((MonomialOrder.block(0), R2.parse("x^2+x*y+z^3")))
+    @example((GREVLEX, R2.monomial((MAX_EXPONENT, 0, 0)) + R2.monomial((0, 0, MAX_EXPONENT))
+              + R2.monomial((0, MAX_EXPONENT, 0))))
+    def test_lead_and_canonical_terms(self, case):
+        order, f = case
+        key = order_key(order)
+        if f.terms:
+            assert f.leading_monomial(order) == max(f.terms, key=key)
+        assert f.canonical_terms() == tuple(
+            sorted(f.terms.items(), key=lambda t: order_key(GREVLEX)(t[0]), reverse=True))
 
 
 class TestPolynomialArithmetic:

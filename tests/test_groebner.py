@@ -18,24 +18,24 @@ from charp.core import (
 )
 from charp.groebner import (
     INFINITE,
-    _Quotient,
     _divisor,
     _exponents,
     _guard,
-    _monomials_of_degree,
+    _keys_of_degree,
     _packed,
     _staircase,
-    _staircase_monomials,
     _normaliser,
+    _to_keys,
     _width,
     buchberger,
     colength,
     divide_exact,
     eliminate,
     normal_form,
+    zero_dimensional_quotient,
 )
 from charp.script import ScriptRunner
-from oracle import oracle_member, poly_to_dict, random_homogeneous_dict
+from oracle import oracle_member, order_key, poly_to_dict, random_homogeneous_dict
 
 
 # Tuple references for the monomial arithmetic that groebner does on keys.
@@ -54,13 +54,13 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    """S(f, g) built from exponent tuples by ``Polynomial.mul_monomial``,
+    """S(f, g) built from exponent tuples by multiplying with monomials,
     which raises ExponentOverflow where a multiple leaves the envelope."""
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = mono_lcm(lf, lg)
-    field = f.ring.field
-    return (f.mul_monomial(mono_div(lcm, lf), field.inv(f.leading_coefficient(order)))
-            - g.mul_monomial(mono_div(lcm, lg), field.inv(g.leading_coefficient(order))))
+    ring = f.ring
+    return (f * ring.monomial(mono_div(lcm, lf), ring.field.inv(f.leading_coefficient(order)))
+            - g * ring.monomial(mono_div(lcm, lg), ring.field.inv(g.leading_coefficient(order))))
 
 
 def packed_key(m: tuple, order) -> int:
@@ -74,13 +74,26 @@ def is_groebner(basis, order=GREVLEX) -> bool:
                for f, g in itertools.combinations(basis, 2))
 
 
+def monomials_of_degree(nvars: int, e: int) -> list:
+    """Every monomial of degree e, ascending in the tuple grevlex reference;
+    none when e < 0."""
+    def compositions(n, d):
+        if n == 0:
+            return [()] if d == 0 else []
+        return [(i,) + m for i in range(d + 1) for m in compositions(n - 1, d - i)]
+    return sorted(compositions(nvars, e), key=order_key(GREVLEX))
+
+
 def standard_monomials(gb, nvars):
     """The monomials outside the lead-term ideal, ascending: [] for the unit
     ideal, None when the colength is infinite."""
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return []
     staircase = _staircase(gb, nvars)
-    return None if staircase is None else _staircase_monomials(staircase)
+    if staircase is None:
+        return None
+    unit, columns = staircase
+    return sorted(_exponents(nvars)(k + t * unit) for k, height in columns for t in range(height))
 
 
 def random_ideal(ring, rng, ngens=3, max_deg=3):
@@ -198,7 +211,7 @@ class TestNormalForm:
         f = g * h + R.parse("x^3*y^2+y*z+1")
         for order in (GREVLEX, MonomialOrder.lex(), MonomialOrder.block(1), GREVLEX,
                       MonomialOrder.lex()):
-            lm = max(g.terms, key=order.key)
+            lm = max(g.terms, key=order_key(order))
             lead, lc_inv, tail, _ = _packed(g, order)
             assert lead == packed_key(lm, order)
             assert lc_inv * g.terms[lm] % 5 == 1
@@ -215,11 +228,11 @@ def reference_normal_form(f, basis, order):
     if not basis or f.is_zero():
         return f
     p = f.ring.field.p
-    leads = [(max(g.terms, key=order.key), g) for g in basis]
+    leads = [(max(g.terms, key=order_key(order)), g) for g in basis]
     work = dict(f.terms)
     remainder = {}
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=order_key(order))
         c = work.pop(m)
         for lm, g in leads:
             if mono_divides(lm, m):
@@ -259,7 +272,15 @@ def division_cases(draw):
 @pytest.mark.parametrize("nvars", range(5))
 @pytest.mark.parametrize("e", [-1, -2])
 def test_no_monomials_of_negative_degree(nvars, e):
-    assert _monomials_of_degree(nvars, e) == []
+    assert _keys_of_degree(GREVLEX.units(nvars), e) == []
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_keys_of_degree_ascend_in_grevlex(nvars):
+    for e in range(7):
+        keys = _keys_of_degree(GREVLEX.units(nvars), e)
+        assert [_exponents(nvars)(k) for k in keys] == monomials_of_degree(nvars, e)
+        assert all(-(k >> 32 * nvars) == e for k in keys)
 
 
 class TestHeapDivisionAgainstRescan:
@@ -336,7 +357,8 @@ def check_keys(a: tuple, b: tuple, order):
     and the low bits of a key are the exponents, even of a product past the
     envelope, whose exponents still fit in 32 bits."""
     ka, kb = packed_key(a, order), packed_key(b, order)
-    assert (ka < kb) == (order.key(a) > order.key(b)), (order, a, b)
+    key = order_key(order)
+    assert (ka < kb) == (key(a) > key(b)), (order, a, b)
     assert (ka == kb) == (a == b)
     assert _exponents(len(a))(ka) == a
     assert _exponents(len(a))(ka + kb) == tuple(x + y for x, y in zip(a, b))
@@ -363,7 +385,7 @@ class TestPackedKeys:
         for order in _orders(len(a)):
             assert ((packed_key(a, order) + packed_key(c, order)
                      < packed_key(b, order) + packed_key(c, order))
-                    == (order.key(mono_mul(a, c)) > order.key(mono_mul(b, c))))
+                    == (order_key(order)(mono_mul(a, c)) > order_key(order)(mono_mul(b, c))))
 
 
 class TestColength:
@@ -445,6 +467,50 @@ class TestStaircaseAgainstBoxScan:
             assert standard_monomials(gb, nvars) == expected
 
 
+@st.composite
+def finite_colength_ideals(draw):
+    """(ring, reduced grevlex GB) over F_p, p in {2, 3, 5}, in 0-3 variables:
+    a pure power of each variable, of degree 1-5, plus up to three forms."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(0, 3))
+    ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
+    gens = [ring.var(i) ** draw(st.integers(1, 5)) for i in range(nvars)]
+    for _ in range(draw(st.integers(0, 3))):
+        monos = monomials_of_degree(nvars, draw(st.integers(1, 4)))
+        cs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+        gens.append(ring.from_terms(zip(monos, cs)))
+    return ring, buchberger(gens)
+
+
+class TestQuotientKeys:
+    """The standard keys of ``zero_dimensional_quotient``, decoded, are the
+    box scan's standard monomials in ascending grevlex, grouped by degree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_colength_ideals())
+    @example((PolyRing(2, []), []))                       # S = F_2: only 1
+    @example((PolyRing(3, ["x"]), [PolyRing(3, ["x"]).parse("x^3")]))
+    def test_against_box_scan(self, case):
+        ring, gb = case
+        n = ring.nvars
+        quotient = zero_dimensional_quotient(gb, ring)
+        expected = sorted(box_scan([g.leading_monomial(GREVLEX) for g in gb], n),
+                          key=order_key(GREVLEX))
+        degrees = list(quotient.standard)
+        assert degrees == list(range(quotient.top + 1)) and quotient.top >= 0
+        assert quotient.standard[0] == [0]  # the monomial 1, of degree 0
+        decoded = {d: [_exponents(n)(k) for k in keys] for d, keys in quotient.standard.items()}
+        assert [m for d in degrees for m in decoded[d]] == expected
+        assert all(sum(m) == d for d in degrees for m in decoded[d])
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("nvars", range(4))
+    def test_unit_ideal_has_no_keys(self, p, nvars):
+        ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
+        quotient = zero_dimensional_quotient(buchberger([ring.one()]), ring)
+        assert quotient.standard == {} and quotient.top == -1
+
+
 # Each case: the prime, the variables, the generators, how many leading
 # variables to eliminate, and the generator of the elimination ideal.
 ELIMINATION_CASES = [
@@ -507,7 +573,7 @@ def reference_buchberger(gens, order=GREVLEX):
     if not gens:
         return []
     basis = sorted({g.monic(order) for g in gens},
-                   key=lambda g: sorted((order.key(m), c) for m, c in g.terms.items()))
+                   key=lambda g: sorted((order_key(order)(m), c) for m, c in g.terms.items()))
     G, leads, pending, heap = [], [], set(), []
 
     def add_poly(h):
@@ -517,7 +583,7 @@ def reference_buchberger(gens, order=GREVLEX):
         leads.append(lm)
         for i in range(j):
             pending.add((i, j))
-            heapq.heappush(heap, (order.key(mono_lcm(leads[i], lm)), i, j))
+            heapq.heappush(heap, (order_key(order)(mono_lcm(leads[i], lm)), i, j))
 
     for g in basis:
         g = normal_form(g, G, order)
@@ -548,7 +614,7 @@ def reference_buchberger(gens, order=GREVLEX):
         r = normal_form(g, minimal[:i] + minimal[i + 1:], order)
         if not r.is_zero():
             reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    reduced.sort(key=lambda g: order_key(order)(g.leading_monomial(order)))
     return reduced
 
 
@@ -569,7 +635,7 @@ def ideal_cases(draw):
     def poly():
         # degree at most 3, so that no lex basis grows out of desk scale
         degrees = [draw(st.integers(0, 3))] if homogeneous else range(4)
-        mono = st.sampled_from([m for d in degrees for m in _monomials_of_degree(nvars, d)])
+        mono = st.sampled_from([m for d in degrees for m in monomials_of_degree(nvars, d)])
         return ring.from_terms(draw(st.lists(st.tuples(mono, st.integers(1, p - 1)),
                                              max_size=4)))
     return ring, order, [poly() for _ in range(draw(st.integers(1, 4)))]
@@ -621,7 +687,7 @@ def reference_normal_form_table(reducers, standard: set, nvars: int, e: int, p: 
     over g's tail terms t, each smaller than m in grevlex.
     """
     table = {}
-    for m in _monomials_of_degree(nvars, e):
+    for m in monomials_of_degree(nvars, e):
         if m in standard:
             table[m] = {m: 1}
             continue
@@ -701,7 +767,7 @@ def reference_basis(gb, standard: dict, kernels: dict, ring) -> list:
     rows = {}  # pivot -> RREF row
     for d, monomials in standard.items():
         for v in kernels.get(d, [{u: 1} for u in monomials]):
-            rows[max(v, key=GREVLEX.key)] = v
+            rows[max(v, key=order_key(GREVLEX))] = v
     standard_set = {u for monomials in standard.values() for u in monomials}
     tails = {g.leading_monomial(GREVLEX): {t: -c % p for t, c in g.terms.items()
                                           if t != g.leading_monomial(GREVLEX)}
@@ -719,7 +785,7 @@ def reference_basis(gb, standard: dict, kernels: dict, ring) -> list:
             if nf.get(t):
                 reference_axpy(nf, -nf[t], rows[t], p)
         out.append(ring.from_terms([(m, 1)] + [(t, -c) for t, c in nf.items()]))
-    return sorted(out, key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+    return sorted(out, key=lambda g: order_key(GREVLEX)(g.leading_monomial(GREVLEX)))
 
 
 def _bracket_case(p, names, dividend, divisors, q, relation=None):
@@ -807,21 +873,29 @@ class TestPackedKernels:
         ring, gens, divisors = case
         p = ring.field.p
         gb = buchberger(gens)
-        quotient = _Quotient(gb, ring, standard_monomials(gb, ring.nvars))
+        quotient = zero_dimensional_quotient(gb, ring)
+        exponents = _exponents(ring.nvars)
+        reducers = [(g.leading_monomial(GREVLEX), [t for t in g.terms.items()
+                                                   if t[0] != g.leading_monomial(GREVLEX)])
+                    for g in gb]
+        standard = {d: list(map(exponents, keys)) for d, keys in quotient.standard.items()}
         tables = {}
+
+        def unpack(d, vec):
+            return {exponents(k): c for k, c in quotient.unpack(d, vec).items()}
 
         def tables_at(e):
             if e not in tables:
                 table = reference_normal_form_table(
-                    quotient.reducers, set(quotient.standard[e]), ring.nvars, e, p)
+                    reducers, set(standard[e]), ring.nvars, e, p)
                 ptable = quotient.table(e)
                 assert len(ptable) == len(table)
-                assert {m: quotient.unpack(e, ptable[quotient.key(m)]) for m in table} == table
+                assert {m: unpack(e, ptable[packed_key(m, GREVLEX)]) for m in table} == table
                 tables[e] = table, ptable
             return tables[e]
 
         def pack(d, vec):
-            index = {m: i for i, m in enumerate(quotient.standard[d])}
+            index = {m: i for i, m in enumerate(standard[d])}
             return sum(c << index[m] * _width(p) for m, c in vec.items())
 
         # every table first, so that a wrong table fails before a narrowing
@@ -843,13 +917,12 @@ class TestPackedKernels:
                         table, ptable = tables_at(e)
                         bs = by_degree[delta]
                         kernels[d] = reference_narrow_kernel(
-                            kernels.get(d), quotient.standard[d],
+                            kernels.get(d), standard[d],
                             reference_image(bs, q, table, p), p)
                         pkernels[d] = quotient.narrow(
                             pkernels.get(d), d,
-                            quotient.image([(list(map(quotient.key, b.terms)),
-                                             list(b.terms.values())) for b in bs], q, e, ptable))
-                        assert [quotient.unpack(d, v) for v in pkernels[d]] == kernels[d]
+                            quotient.image([_to_keys(b, GREVLEX) for b in bs], q, e, ptable))
+                        assert [unpack(d, v) for v in pkernels[d]] == kernels[d]
                         assert pkernels[d] == [pack(d, v) for v in kernels[d]]
                 assert quotient.basis(pkernels) == reference_basis(
-                    gb, quotient.standard, kernels, ring)
+                    gb, standard, kernels, ring)

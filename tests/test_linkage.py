@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from charp.core import AlgebraError
 from charp.frobenius import bracket_power
-from charp.groebner import _monomials_of_degree
 from charp.linkage import (
     NotUnmixed,
     _lift,
@@ -24,7 +23,7 @@ from charp.rings import (
     is_unmixed,
 )
 from charp.singularity import test_ideal as compute_test_ideal
-from test_groebner import reference_narrow_kernel
+from test_groebner import monomials_of_degree, reference_narrow_kernel
 
 
 @pytest.fixture
@@ -129,14 +128,14 @@ def reference_lift(f, b):
     ring = b.ring.poly
     gens = b.lift_gens()
     columns = [(j, u) for j, g in enumerate(gens)
-               for u in _monomials_of_degree(ring.nvars, f.degree() - g.degree())]
+               for u in monomials_of_degree(ring.nvars, f.degree() - g.degree())]
     columns.append(None)
 
     def image(column):
         if column is None:
             return f.terms
         j, u = column
-        return gens[j].mul_monomial(u).terms
+        return (gens[j] * ring.monomial(u)).terms
     for vec in reference_narrow_kernel(None, columns, image, ring.field.p):
         if vec.pop(None, 0):
             return [ring.from_terms((u, -c) for (i, u), c in vec.items() if i == j)
