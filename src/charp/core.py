@@ -12,10 +12,11 @@ k(m) = sum of m_i * units[i] is one int, a smaller key is a larger monomial,
 and keys add as monomials multiply.  Leading terms, the canonical term order
 and every division in ``groebner`` compare these keys.
 
-``parse_polynomial`` reads a text with one ``findall`` scan, whose tokens
-are a number, a variable with its optional exponent, an operator or any
-other non-space character, and one loop over them.  Token positions are
-found again only when an error is raised.
+``parse_polynomial`` splits a text at its signs and reads each term text
+once per ring, with one ``findall`` scan, whose tokens are a number, a
+variable with its optional exponent, an operator or any other non-space
+character, and one loop over them.  Token positions are found again only
+when an error is raised.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ GREVLEX = MonomialOrder.grevlex()
 class PolyRing:
     """The polynomial ring F_p[x_1, ..., x_n] with named variables."""
 
-    __slots__ = ("field", "variables", "_varindex")
+    __slots__ = ("field", "variables", "_varindex", "_terms")
 
     def __init__(self, p, variables):
         self.field = p if isinstance(p, PrimeField) else PrimeField(p)
@@ -200,6 +201,7 @@ class PolyRing:
                 raise AlgebraError(f"bad variable name {v!r}")
         self.variables = variables
         self._varindex = {v: i for i, v in enumerate(variables)}
+        self._terms = {}  # parse_polynomial's term memo
 
     @property
     def nvars(self) -> int:
@@ -511,15 +513,49 @@ def _token_error(text: str):
     return None
 
 
+_SIGNS = re.compile(r"([-+])")
+
+
 def parse_polynomial(text: str, ring) -> Polynomial:
-    """Parse `poly := term (('+'|'-') term)*` over the given ring.
+    """Parse `poly := ['+'|'-'] term (('+'|'-') term)*` over the given ring.
 
     `term := coeff? ('*'? var ('^' nat)?)*` with integer coefficients
     reduced mod p.  Raises PolynomialSyntaxError / UnknownVariableError.
-    Every error first asks ``_token_error``, so a stray character anywhere
-    in the text wins over a parse error.
+
+    No token holds a '+' or '-', so the text splits at its signs into term
+    texts, and each is looked up in the ring's term memo, a dict from term
+    text to (exponent tuple, coefficient mod p) of the terms it accepted.
+    ``_scan`` reads only a term text not seen before.  The memo keeps one
+    entry per distinct term text the ring accepted, and has no size limit.
+    When a piece is rejected, ``_scan`` reads the whole text and raises its
+    error: every error first asks ``_token_error``, so a stray character
+    anywhere in the text wins over a parse error.
     """
     pring = ring if isinstance(ring, PolyRing) else ring.poly  # or a RingContext
+    memo = pring._terms
+    p = pring.field.p
+    pieces = _SIGNS.split(text)
+    # a leading sign: no token stands before it
+    first = 2 if len(pieces) > 1 and (not pieces[0] or pieces[0].isspace()) else 0
+    terms = []
+    for k in range(first, len(pieces), 2):
+        piece = pieces[k]
+        term = memo.get(piece)
+        if term is None:
+            try:
+                (term,) = _scan(piece, pring)
+            except AlgebraError:
+                return pring.from_terms(_scan(text, pring))
+            memo[piece] = term
+        if k and pieces[k - 1] == "-":
+            term = term[0], (p - term[1]) % p
+        terms.append(term)
+    return pring.from_terms(terms)
+
+
+def _scan(text: str, pring: PolyRing) -> list:
+    """The (exponent tuple, coefficient) of each term of text, in order:
+    one ``findall`` scan and one loop over its tokens."""
     tokens = _TOKEN.findall(text)
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial", 0)
@@ -583,4 +619,4 @@ def parse_polynomial(text: str, ring) -> Polynomial:
         raise _token_error(text) or PolynomialSyntaxError(
             "dangling '*'", _position(text, len(tokens) - 1, "op"))
     terms.append((tuple(exps), coeff))
-    return pring.from_terms(terms)
+    return terms

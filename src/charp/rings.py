@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cache
 
 from .core import (
     AlgebraError,
@@ -414,14 +415,20 @@ def twisted_colon(A: Ideal, divisors, q: int = 1) -> Ideal:
 # ---------------------------------------------------------------------------
 # Randomized search: parameter ideals and m-primary extensions.
 
+@cache
+def _degree_exponents(nvars: int, degree: int) -> tuple:
+    """The exponent tuples of the given degree, in ``itertools.product`` order."""
+    return tuple(e for e in itertools.product(range(degree + 1), repeat=nvars)
+                 if sum(e) == degree)
+
+
 def _random_homogeneous(ring: PolyRing, degree: int, rng: random.Random) -> Polynomial:
     p = ring.field.p
     terms = []
-    for exps in itertools.product(range(degree + 1), repeat=ring.nvars):
-        if sum(exps) == degree:
-            c = rng.randrange(p)
-            if c:
-                terms.append((exps, c))
+    for exps in _degree_exponents(ring.nvars, degree):
+        c = rng.randrange(p)
+        if c:
+            terms.append((exps, c))
     return ring.from_terms(terms)
 
 

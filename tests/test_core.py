@@ -399,7 +399,9 @@ class TestParserAgainstReference:
     """The single-scan parser accepts what the token-list parser accepted,
     with the same polynomial, and rejects the rest with the same error class,
     message and position: a stray character anywhere still wins over a
-    parse error that comes before it."""
+    parse error that comes before it.  That holds however much of the text
+    the ring's term memo already holds: on the first read, on a second
+    read of the same text, and after a text made of the same terms."""
 
     @settings(max_examples=1500, deadline=None)
     @given(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join))
@@ -412,7 +414,35 @@ class TestParserAgainstReference:
     @example("w^99999999999")
     @example("x^99999999999")
     def test_same_outcome(self, text):
-        assert _outcome(parse_polynomial, text, R4) == _outcome(reference_parse, text, R4)
+        expected = _outcome(reference_parse, text, R4)
+        ring = PolyRing(5, R4.variables)
+        assert _outcome(parse_polynomial, text, ring) == expected
+        assert _outcome(parse_polynomial, text, ring) == expected
+        primed = PolyRing(5, R4.variables)
+        _outcome(parse_polynomial, "-".join(reversed(re.split("[-+]", text))), primed)
+        assert _outcome(parse_polynomial, text, primed) == expected
+        assert _outcome(parse_polynomial, text, R4) == expected
+
+    def test_memo_is_per_ring(self):
+        # the same term texts: 13x1 names a variable of F_5[x,y,z,x1] only,
+        # and -13 is 2 mod 5 but 1 mod 7
+        r5, r7 = PolyRing(5, ["x", "y", "z", "x1"]), PolyRing(7, ["x", "y", "z"])
+        for ring in (r7, r5, r7, r5):
+            for text in ("13x1-13x^2", "-13x^2"):
+                assert _outcome(parse_polynomial, text, ring) == \
+                    _outcome(reference_parse, text, ring)
+        assert r5.parse("13x1-13x^2") == r5.monomial((0, 0, 0, 1), 3) + r5.monomial((2, 0, 0, 0), 2)
+        assert r7.parse("-13x^2") == r7.monomial((2, 0, 0), 1)
+        with pytest.raises(UnknownVariableError, match="'x1' at position 2"):
+            r7.parse("13x1-13x^2")
+
+    @pytest.mark.parametrize("text", ["x+y+", "x+-y", "x+y-", "-+x", "x+y^", "x+y)", "x+y*"])
+    def test_malformed_text_of_known_terms(self, text):
+        ring = PolyRing(5, R4.variables)
+        ring.parse("x+y")
+        expected = _outcome(reference_parse, text, R4)
+        assert expected[0] != "ok"
+        assert _outcome(parse_polynomial, text, ring) == expected
 
 
 class TestPolyRing:

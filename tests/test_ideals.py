@@ -283,6 +283,25 @@ def reference_find_parameter_ideal(I, rng, max_tries=60, height=None, min_bump=0
     raise ParameterSearchFailed("exhausted")
 
 
+class TestRandomHomogeneous:
+    """``_random_homogeneous`` lists the monomials of a degree once per
+    (nvars, degree) and draws exactly as the scan over ``itertools.product``
+    that it replaced: the same polynomials, and the generator left in the
+    same state, so every sampled ideal stays the same."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_same_draws_as_product_scan(self, p):
+        for n in range(5):
+            ring = PolyRing(p, ["x", "y", "z", "w"][:n])
+            for d in range(7):
+                for seed in range(3):
+                    fast, slow = random.Random(seed), random.Random(seed)
+                    for _ in range(3):
+                        f = rings._random_homogeneous(ring, d, fast)
+                        assert poly_to_dict(f) == random_homogeneous_dict(n, d, p, slow)
+                    assert fast.getstate() == slow.getstate()
+
+
 class TestParameterSearchWithoutMinimalityCheck:
     @pytest.mark.parametrize("relation", ["x^3+y^3+z^3", None], ids=["fermat2", "F2xyz"])
     @pytest.mark.parametrize("gens", [("x", "y", "z"), ("x^2", "y^2", "z^2"), ("x",)],

@@ -48,6 +48,22 @@ class TestHkTable:
         table = hk_table(ring.maximal_ideal(), e)
         assert {r.q: r.colength_bracket for r in table.rows[1:]} == expected
 
+    @pytest.mark.parametrize("p, e, expected", [
+        (3, 3, [1, 27, 252, 2268]),
+        (5, 2, [1, 75, 1900]),
+        (7, 2, [1, 145, 7201]),
+    ])
+    def test_fermat_quartic_values(self, p, e, expected):
+        # e_HK(m) = 3 + 1/p^2 for x^4+y^4+z^4 at p = +-3 (mod 8) (Han and
+        # Monsky, "Some surprising Hilbert-Kunz functions", Math. Z. 214,
+        # 1993); the values below are as measured: at q >= p^2 they equal
+        # (3 + 1/p^2) q^2 for p = 3 and 5, and at p = 7 = -1 (mod 8),
+        # 7201 = 3 * 49^2 - 2
+        ring = RingContext(p, ["x", "y", "z"], "x^4+y^4+z^4")
+        table = hk_table(ring.maximal_ideal(), e)
+        assert [r.colength_bracket for r in table.rows] == expected
+        assert [r.q for r in table.rows] == [p**k for k in range(e + 1)]
+
     def test_regular_ring_leading_term_is_exact(self, poly2):
         # l(F_2[x,y]/(x,y)^[q]) = q^2 exactly
         table = hk_table(poly2.maximal_ideal(), 3)
