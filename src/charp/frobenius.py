@@ -66,7 +66,9 @@ def frobenius_root(J: Ideal, e: int) -> Ideal:
 
     Requires a polynomial ring context: the decomposition of S as a free
     module over S^q is not available in a quotient.  Quotient callers must
-    lift explicitly.
+    lift explicitly.  K is generated by the roots of J's generators, kept
+    once per scalar class: the first root of each class, made monic, in
+    the order the roots come.
     """
     if J.ring.relation is not None:
         raise QuotientContextUnsupported(
@@ -74,10 +76,13 @@ def frobenius_root(J: Ideal, e: int) -> Ideal:
     q = frobenius_q(J.ring, e)
     if q == 1:
         return J
-    gens = []
+    p = J.ring.field.p
+    roots: dict = {}  # a root's terms scaled to 1 at their least exponent tuple -> the root
     for g in J.gens:
-        gens.extend(_root_of_polynomial(g, q))
-    return Ideal(J.ring, gens)
+        for root in _root_of_polynomial(g, q):
+            inv = pow(root.terms[min(root.terms)], p - 2, p)
+            roots.setdefault(frozenset((m, c * inv % p) for m, c in root.terms.items()), root)
+    return Ideal(J.ring, [root.monic() for root in roots.values()])
 
 
 def frobenius_preimage(K: Ideal, e: int) -> Ideal:

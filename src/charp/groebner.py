@@ -20,7 +20,12 @@ is the one division loop.  ``buchberger`` builds S-polynomials from the
 packed tails of its monic elements, pops pairs by least lcm and updates them
 as Gebauer & Moeller do (J. Symb. Comp. 6, 1988): a new element h adds one
 pair per minimal lcm and drops each pair (i, k) whose lcm lm(h) divides,
-unless lcm(i, h) or lcm(k, h) equals it.
+unless lcm(i, h) or lcm(k, h) equals it.  The closing interreduction divides
+only the elements that a later lead reaches: when h joins, each active
+element with a tail term that lm(h) divides is marked, and only those whose
+largest tail degree is at least deg lm(h) are scanned.  An unmarked element
+returns as stored, since a remainder is irreducible by every lead active
+when it was made, and a retired lead is a multiple of an active one.
 
 Colengths are counted column by column: along the variable with the largest
 pure-power bound, the standard monomials over each point of the remaining
@@ -57,7 +62,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import struct
 from functools import cache, reduce
 from operator import mul, or_
 
@@ -69,6 +73,8 @@ from .core import (
     MonomialOrder,
     PolyRing,
     Polynomial,
+    _exponents,
+    _guard,
 )
 
 
@@ -77,19 +83,6 @@ class UnitIdeal(AlgebraError):
 
 
 INFINITE = float("inf")
-
-
-@cache
-def _guard(nvars: int) -> int:
-    """The top bit of every 32-bit exponent field."""
-    return sum(1 << 32 * i + 31 for i in range(nvars))
-
-
-@cache
-def _exponents(nvars: int):
-    """key -> exponent tuple, read off the key's low 32 * nvars bits."""
-    unpack, low, size = struct.Struct(f"<{nvars}I").unpack, (1 << 32 * nvars) - 1, 4 * nvars
-    return lambda k: unpack((k & low).to_bytes(size, "little"))
 
 
 def _to_keys(f: Polynomial, order: MonomialOrder) -> dict:
@@ -216,6 +209,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
     n, p = ring.nvars, ring.field.p
     units, guard, exponents = order.units(n), _guard(n), _exponents(n)
     G, leads = [], []  # the packed form of every element added; its lead's exponents
+    tops, dirty = [], set()  # each element's largest tail degree; the indices to interreduce
     active, basis = [], []  # the indices i whose lead no later lead divides; G[i]
     heap = []  # the pairs still to reduce: (-key of their lcm, i, j), least lcm first
 
@@ -224,6 +218,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
         (Gebauer & Moeller)."""
         j, hp = len(G), next(iter(h))  # a remainder lists its lead first
         inv, monomials = pow(h[hp], p - 2, p), [exponents(k) for k in h]
+        degrees = list(map(sum, monomials))
         lcms = [sum(map(mul, map(max, lead, monomials[0]), units)) for lead in leads]
         # criterion B: drop (i, k) when lm(h) divides its lcm, unless the
         # lcm is that of (i, h) or of (k, h)
@@ -245,7 +240,12 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
                 if not coprime:
                     heapq.heappush(heap, (-lcm, i, j))
         # retire the active elements whose lead lm(h) divides; none divides lm(h)
-        active[:] = [i for i in active if ((G[i][0] | guard) - hp) & guard != guard] + [j]
+        active[:] = [i for i in active if ((G[i][0] | guard) - hp) & guard != guard]
+        # mark those whose tail lm(h) reaches; such a term has degree >= deg lm(h)
+        dirty.update(i for i in active if tops[i] >= degrees[0]
+                     and any(((t | guard) - hp) & guard == guard for t, _ in G[i][2]))
+        active.append(j)
+        tops.append(max(degrees[1:], default=-1))
         G.append((hp, 1, [(k, c * inv % p) for k, c in itertools.islice(h.items(), 1, None)],
                   _slack(monomials, guard)))
         leads.append(monomials[0])
@@ -280,10 +280,14 @@ def buchberger(gens, order: MonomialOrder = GREVLEX):
 
     if active == [0]:
         return [starts[0][0]]  # as given: division by no basis changes nothing
-    # interreduce the tails of the minimal basis; leads stay, with coefficient 1
+    # interreduce the marked tails of the minimal basis; leads stay, with
+    # coefficient 1, and an unmarked element is reduced already
     reduced = []
-    for i, (lead, _, tail, _) in enumerate(basis):
-        r = _divide(dict([(lead, 1), *tail]), basis[:i] + basis[i + 1:], guard, p)
+    for pos, i in enumerate(active):
+        lead, _, tail, _ = G[i]
+        r = dict([(lead, 1), *tail])
+        if i in dirty:
+            r = _divide(r, basis[:pos] + basis[pos + 1:], guard, p)
         monomials = [exponents(k) for k in r]
         g = Polynomial(ring, dict(zip(monomials, r.values())))
         g._lead_order, g._lead = order, monomials[0]
@@ -674,20 +678,19 @@ def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
 
     ``quotient`` is S/A from ``zero_dimensional_quotient``, for a
     homogeneous ideal A of finite colength, and ``divisors`` are
-    homogeneous; zero divisors are ignored.  The result is A + V with V
-    spanned by standard monomials of A, and each degree d of V is the
-    kernel of u -> (NF(u^q * b))_b over the standard monomials u of degree
-    d, narrowed once per divisor degree delta on the table of degree
-    q * d + delta.  A divisor of degree above A's top standard degree
-    imposes nothing, and a degree never narrowed lies wholly in the result.
+    homogeneous.  The result is A + V with V spanned by standard monomials
+    of A, and each degree d of V is the kernel of u -> (NF(u^q * b))_b over
+    the standard monomials u of degree d, narrowed once per divisor degree
+    delta on the table of degree q * d + delta.  A divisor in A, such as
+    zero or one of degree above A's top standard degree, imposes nothing,
+    and a degree never narrowed lies wholly in the result.
     """
-    divisors = [b for b in divisors if not b.is_zero()]
-    if not divisors:
-        return [quotient.ring.one()]
     by_degree: dict = {}
     for b in divisors:
-        if b.degree() <= quotient.top:
+        if remainder(b, quotient.reducers):
             by_degree.setdefault(b.degree(), []).append(_to_keys(b, GREVLEX))
+    if not by_degree:
+        return [quotient.ring.one()]
     kernels: dict = {}  # degree -> narrowed kernel basis; absent: never narrowed
     for e in range(quotient.top + 1):
         narrow = [(delta, (e - delta) // q) for delta in sorted(by_degree)

@@ -16,10 +16,9 @@ from charp.core import (
     PrimeField,
     UnknownVariableError,
     format_polynomial,
-    mono_mul,
     parse_polynomial,
 )
-from oracle import order_key
+from oracle import mono_mul, order_key
 
 R2 = PolyRing(2, ["x", "y", "z"])
 R5 = PolyRing(5, ["x", "y"])
@@ -222,6 +221,57 @@ class TestPolynomialArithmetic:
     def test_exponent_overflow(self):
         with pytest.raises(ExponentOverflow):
             R5.parse("x^9999999999")
+
+
+def tuple_product(f: Polynomial, g: Polynomial) -> dict:
+    """f * g term by term on exponent tuples, ``mono_mul`` checking every
+    product monomial, the ones whose coefficients cancel included."""
+    p, out = f.ring.field.p, {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = mono_mul(m1, m2)
+            out[m] = (out.get(m, 0) + c1 * c2) % p
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def product_cases(draw):
+    """Two polynomials in 0-4 variables over F_2, F_3 or F_7 whose exponents
+    lie near 0, 2^30 or 2^31 - 1, so that some products overflow."""
+    nvars = draw(st.integers(0, 4))
+    ring = PolyRing(draw(st.sampled_from([2, 3, 7])), [f"x{i}" for i in range(nvars)])
+    exponent = st.one_of(st.integers(0, 3), st.integers(2**30 - 2, 2**30 + 1),
+                         st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))
+    term = st.tuples(st.tuples(*[exponent] * nvars), st.integers(1, ring.field.p - 1))
+    return [ring.from_terms(draw(st.lists(term, max_size=5))) for _ in range(2)]
+
+
+class TestProductOnPackedKeys:
+    @settings(max_examples=400, deadline=None)
+    @given(product_cases())
+    @example([R5.parse("x^2+3*y"), R5.parse("x*y+4")])
+    def test_against_tuple_product(self, case):
+        f, g = case
+        try:
+            expected = tuple_product(f, g)
+        except ExponentOverflow:
+            with pytest.raises(ExponentOverflow):
+                f * g
+        else:
+            assert (f * g).terms == expected
+
+    def test_overflow_raised_where_it_cancels(self):
+        # (x^M + x^(M-1) y)(x y - x^2) over F_5: x^(M+1) y overflows, comes
+        # out of two pairs and cancels; the check reads it all the same
+        M = MAX_EXPONENT
+        g = Polynomial(R5, {(1, 1): 1, (2, 0): 4})
+        f = Polynomial(R5, {(M, 0): 1, (M - 1, 1): 1})
+        for product in (tuple_product, mul):
+            with pytest.raises(ExponentOverflow):
+                product(f, g)
+        # two steps inside the envelope, x^(M-1) y cancels and nothing overflows
+        f = Polynomial(R5, {(M - 2, 0): 1, (M - 3, 1): 1})
+        assert (f * g).terms == tuple_product(f, g) == {(M, 0): 4, (M - 2, 2): 1}
 
 
 class TestParseFormat:

@@ -9,6 +9,7 @@ from charp import groebner, rings
 from charp.core import MAX_EXPONENT, ExponentOverflow, Polynomial
 from charp.frobenius import (
     QuotientContextUnsupported,
+    _root_of_polynomial,
     bracket_power,
     frobenius_preimage,
     frobenius_q,
@@ -93,6 +94,20 @@ class TestBracketPowerByTerms:
             bracket_power(Ideal(poly2, [x]), 1)
 
 
+@st.composite
+def root_cases(draw):
+    """An ideal of a polynomial ring in 1-3 variables over F_2, F_3 or F_5,
+    e in {1, 2}, and generators with small exponents, so that roots repeat
+    up to a scalar, with scalar multiples of some of them among them."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ring = RingContext(p, ["x", "y", "z"][:draw(st.integers(1, 3))])
+    mono = st.tuples(*[st.integers(0, 2 * p)] * ring.poly.nvars)
+    poly = st.lists(st.tuples(mono, st.integers(1, p - 1)), max_size=5)
+    gens = [ring.poly.from_terms(t) for t in draw(st.lists(poly, max_size=4))]
+    gens += [g.scale(draw(st.integers(1, p - 1))) for g in gens if draw(st.booleans())]
+    return Ideal(ring, gens), draw(st.integers(1, 2))
+
+
 class TestFrobeniusRoot:
     def test_cube_witness(self, poly2):
         # at p=2 the root of (x^3) is (x) but the preimage is (x^2)
@@ -129,6 +144,21 @@ class TestFrobeniusRoot:
     def test_bracket_root_roundtrip(self, poly3):
         I = poly3.ideal("x^2+y*z", "z^3")
         assert frobenius_root(bracket_power(I, 1), 1) == I
+
+    @settings(max_examples=150, deadline=None)
+    @given(root_cases())
+    def test_one_generator_per_scalar_class(self, case):
+        # the same ideal as the raw roots, generated by the first root of
+        # each scalar class, made monic, in the order the roots come
+        J, e = case
+        raw = [r for g in J.gens for r in _root_of_polynomial(g, frobenius_q(J.ring, e))]
+        first = []
+        for r in raw:
+            if r.monic() not in first:
+                first.append(r.monic())
+        K = frobenius_root(J, e)
+        assert list(K.gens) == first
+        assert K == Ideal(J.ring, raw)
 
 
 @st.composite

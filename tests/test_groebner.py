@@ -14,13 +14,12 @@ from charp.core import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    mono_mul,
+    _exponents,
+    _guard,
 )
 from charp.groebner import (
     INFINITE,
     _divisor,
-    _exponents,
-    _guard,
     _keys_of_degree,
     _packed,
     _staircase,
@@ -35,7 +34,7 @@ from charp.groebner import (
     zero_dimensional_quotient,
 )
 from charp.script import ScriptRunner
-from oracle import oracle_member, order_key, poly_to_dict, random_homogeneous_dict
+from oracle import mono_mul, oracle_member, order_key, poly_to_dict, random_homogeneous_dict
 
 
 # Tuple references for the monomial arithmetic that groebner does on keys.
@@ -674,6 +673,48 @@ class TestPairUpdateAgainstChainCriterion:
         monkeypatch.setattr(groebner, "buchberger", reference_buchberger)
         monkeypatch.setattr(rings, "buchberger", reference_buchberger)
         assert got == run()
+
+
+def interreductions(monkeypatch, gens, order=GREVLEX) -> tuple:
+    """(buchberger(gens, order), the number of its closing interreduction
+    divisions).  Every other division divides by the one running basis
+    list, so a division by any other list is an interreduction."""
+    reducer_lists = []
+    divide = groebner._divide
+
+    def spy(work, reducers, *args):
+        reducer_lists.append(reducers)
+        return divide(work, reducers, *args)
+    monkeypatch.setattr(groebner, "_divide", spy)
+    gb = buchberger(gens, order)
+    return gb, sum(r is not reducer_lists[0] for r in reducer_lists)
+
+
+class TestDirtyInterreduction:
+    """The closing interreduction divides only the elements whose tail a
+    later lead reaches, and returns the rest as stored."""
+
+    def test_later_leads_reaching_earlier_tails(self, monkeypatch):
+        # an elimination input of a seed-1 suites pass on fermat2, in which
+        # later leads divide three earlier tails
+        S = PolyRing(2, ["t", "x", "y", "z"])
+        gens = [S.parse("t*x^2*z^2+t*y*z^3+t*x^2*y^2+t*y^4+t*x^3*z"),
+                S.parse("t*x^3+t*y^3+t*z^3"),
+                S.parse("y^3*z+y^2*z^2+y*z^3+t*y^3*z+t*y^2*z^2+t*y*z^3")]
+        order = MonomialOrder.block(1)
+        gb, divisions = interreductions(monkeypatch, gens, order)
+        assert divisions == 3
+        assert gb == reference_buchberger(gens, order)
+
+    def test_bracket_power_basis_needs_no_interreduction(self, monkeypatch):
+        # the lift of m^[169] on the Fermat cubic over F_13: 88 elements, of
+        # colength (9 * 169^2 - 5) / 4 (Monsky), and no tail to interreduce
+        R = PolyRing(13, ["x", "y", "z"])
+        gens = [R.parse(t) for t in ("x^169", "y^169", "z^169", "x^3+y^3+z^3")]
+        gb, divisions = interreductions(monkeypatch, gens)
+        assert divisions == 0
+        assert len(gb) == 88
+        assert colength(gb, 3) == 64261
 
 
 # ---------------------------------------------------------------------------

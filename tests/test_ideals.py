@@ -661,6 +661,33 @@ class TestColonByLinearAlgebra:
         fast, slow = _both_colons(R, A, [R.parse("x^2+2y^2")])
         assert fast == slow == [R.one()]
 
+    def test_divisors_in_dividend_tabulate_nothing(self):
+        # x^2 + 2y^2 and x*z^2 lie in A at or below its top standard degree,
+        # 3 (x*y*z), and y^4 above it: the colon is (1), and no degree is
+        # tabulated
+        R = PolyRing(5, ["x", "y", "z"])
+        A = [R.parse("x^2"), R.parse("y^2"), R.parse("z^2+x*y")]
+        divisors = [R.parse("x^2+2y^2"), R.parse("x*z^2"), R.parse("y^4")]
+        with mock.patch.object(groebner._Quotient, "table") as table:
+            fast, slow = _both_colons(R, A, divisors)
+        assert table.call_count == 0
+        assert fast == slow == [R.one()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(zero_dim_colons(), st.data())
+    def test_divisors_in_dividend_change_nothing(self, case, data):
+        # twisted_colon drops the divisors that lie in A; with them it gives
+        # the reduced GB that _colon_gens gives, with them and without them
+        ring, gens, divisors = case
+        multiples = [gens[data.draw(st.integers(0, len(gens) - 1))]
+                     * ring.monomial(data.draw(st.tuples(*[st.integers(0, 1)] * ring.nvars)),
+                                     data.draw(st.integers(1, ring.field.p - 1)))
+                     for _ in range(data.draw(st.integers(1, 3)))]
+        A = Ideal(RingContext(ring.field.p, list(ring.variables)), gens)
+        got = list(rings.twisted_colon(A, divisors + multiples).gens)
+        assert got == rings._colon_gens(gens, divisors + multiples, ring)
+        assert got == rings._colon_gens(gens, divisors, ring)
+
     def test_constant_divisor(self):
         R = PolyRing(7, ["x", "y", "z"])
         A = [R.parse("x^2+y*z"), R.parse("y^3"), R.parse("z^2")]

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from charp import singularity
 from charp.core import Polynomial
-from charp.frobenius import bracket_power, frobenius_root
+from charp.frobenius import _root_of_polynomial, bracket_power, frobenius_root
 from charp.rings import Ideal, RingContext, find_parameter_ideal
 from charp.singularity import (
     NoTestElementFound,
@@ -59,6 +60,22 @@ class TestTestIdeal:
         for earlier, later in zip(chain, chain[1:]):
             assert later.contains_ideal(earlier)
         assert chain[-1] == chain[-2]
+
+    def test_chain_roots_once_per_scalar_class(self, monkeypatch):
+        # at p = 23 the chain roots f^22 times a basis of J_k: 276 and then
+        # 828 raw roots, of which at most 9 differ by more than a scalar
+        steps = []
+
+        def spy(J, e):
+            root = frobenius_root(J, e)
+            steps.append((sum(len(_root_of_polynomial(g, 23)) for g in J.gens),
+                          len(root.gens)))
+            return root
+        monkeypatch.setattr(singularity, "frobenius_root", spy)
+        ring = RingContext(23, ["x", "y", "z"], "x^3+y^3+z^3")
+        assert compute_test_ideal(ring).tau == ring.maximal_ideal()
+        assert [raw for raw, _ in steps] == [276, 828]
+        assert all(kept <= 9 for _, kept in steps)
 
     def test_polynomial_ring_tau_is_unit(self, poly2):
         assert compute_test_ideal(poly2).tau.is_unit()
