@@ -10,8 +10,7 @@ values may be freely shared.
 A monomial order is given by its packed keys alone (``MonomialOrder.units``):
 k(m) = sum of m_i * units[i] is one int, a smaller key is a larger monomial,
 and keys add as monomials multiply.  Leading terms, the canonical term order
-and every division in ``groebner`` compare these keys, and products add
-grevlex keys, decoding each output term once (``_exponents``).
+and every division in ``groebner`` compare these keys.
 
 ``parse_polynomial`` splits a text at its signs and reads each term text
 once per ring, with one ``findall`` scan, whose tokens are a number, a
@@ -24,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 import re
-import struct
-from functools import cache, reduce, total_ordering
-from operator import mul, or_
+from functools import cache, total_ordering
+from operator import add, mul
 
 MAX_PRIME = 65521
 MAX_EXPONENT = 2**31 - 1
@@ -105,6 +103,13 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # Monomials: plain exponent tuples.
 
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    out = tuple(map(add, a, b))
+    if out and max(out) > MAX_EXPONENT:
+        raise ExponentOverflow(f"exponent overflow in monomial product {a} * {b}")
+    return out
+
+
 def mono_deg(a: tuple) -> int:
     return sum(a)
 
@@ -179,19 +184,6 @@ class MonomialOrder:
 
 
 GREVLEX = MonomialOrder.grevlex()
-
-
-@cache
-def _guard(nvars: int) -> int:
-    """The top bit of every 32-bit exponent field."""
-    return sum(1 << 32 * i + 31 for i in range(nvars))
-
-
-@cache
-def _exponents(nvars: int):
-    """key -> exponent tuple, read off the key's low 32 * nvars bits."""
-    unpack, low, size = struct.Struct(f"<{nvars}I").unpack, (1 << 32 * nvars) - 1, 4 * nvars
-    return lambda k: unpack((k & low).to_bytes(size, "little"))
 
 
 class PolyRing:
@@ -397,21 +389,17 @@ class Polynomial:
         other = self._check(other)
         if other is NotImplemented:
             return other
-        # on grevlex keys, which add as monomials multiply: an exponent sum
-        # past MAX_EXPONENT sets its field's guard bit, and no field carries
-        n, p = self.ring.nvars, self.ring.field.p
-        units = GREVLEX.units(n)
-        right = [(sum(map(mul, m, units)), c) for m, c in other.terms.items()]
+        p = self.ring.field.p
         out: dict = {}
         for m1, c1 in self.terms.items():
-            k1 = sum(map(mul, m1, units))
-            for k2, c2 in right:
-                k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
-        if reduce(or_, out, 0) & _guard(n):  # every product, cancelled or not
-            raise ExponentOverflow("exponent overflow in a polynomial product")
-        exponents = _exponents(n)
-        return Polynomial(self.ring, {exponents(k): c for k, s in out.items() if (c := s % p)})
+            for m2, c2 in other.terms.items():
+                m = mono_mul(m1, m2)
+                s = (out.get(m, 0) + c1 * c2) % p
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+        return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import struct
 from functools import cache, reduce
 from operator import mul, or_
 
@@ -73,8 +74,6 @@ from .core import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    _exponents,
-    _guard,
 )
 
 
@@ -83,6 +82,19 @@ class UnitIdeal(AlgebraError):
 
 
 INFINITE = float("inf")
+
+
+@cache
+def _guard(nvars: int) -> int:
+    """The top bit of every 32-bit exponent field."""
+    return sum(1 << 32 * i + 31 for i in range(nvars))
+
+
+@cache
+def _exponents(nvars: int):
+    """key -> exponent tuple, read off the key's low 32 * nvars bits."""
+    unpack, low, size = struct.Struct(f"<{nvars}I").unpack, (1 << 32 * nvars) - 1, 4 * nvars
+    return lambda k: unpack((k & low).to_bytes(size, "little"))
 
 
 def _to_keys(f: Polynomial, order: MonomialOrder) -> dict:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from charp.core import MAX_EXPONENT, ExponentOverflow
-
 
 def omul(a: dict, b: dict, p: int) -> dict:
     out: dict = {}
@@ -97,15 +95,6 @@ def random_homogeneous_dict(nvars: int, degree: int, p: int,
             c = rng.randrange(p)
             if c:
                 out[m] = c
-    return out
-
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    """The product of two exponent tuples, raising ``ExponentOverflow`` past
-    2^31 - 1: the tuple reference for products on packed keys."""
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(e > MAX_EXPONENT for e in out):
-        raise ExponentOverflow(f"exponent overflow in monomial product {a} * {b}")
     return out
 
 

@@ -14,12 +14,13 @@ from charp.core import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    _exponents,
-    _guard,
+    mono_mul,
 )
 from charp.groebner import (
     INFINITE,
     _divisor,
+    _exponents,
+    _guard,
     _keys_of_degree,
     _packed,
     _staircase,
@@ -34,7 +35,7 @@ from charp.groebner import (
     zero_dimensional_quotient,
 )
 from charp.script import ScriptRunner
-from oracle import mono_mul, oracle_member, order_key, poly_to_dict, random_homogeneous_dict
+from oracle import oracle_member, order_key, poly_to_dict, random_homogeneous_dict
 
 
 # Tuple references for the monomial arithmetic that groebner does on keys.
@@ -630,22 +631,43 @@ def ideal_cases(draw):
     ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
     order = draw(st.sampled_from(_orders(nvars)))
     homogeneous = draw(st.booleans())
-    # degree at most 3, and at most 2 under lex or a block order in 4
-    # variables, so that no basis grows out of desk scale: there, a few cubics
-    # can make bases that take both paths minutes to build
-    cap = 2 if nvars == 4 and order != GREVLEX else 3
 
     def poly():
-        degrees = [draw(st.integers(0, cap))] if homogeneous else range(cap + 1)
+        # degree at most 3, so that no lex basis grows out of desk scale
+        degrees = [draw(st.integers(0, 3))] if homogeneous else range(4)
         mono = st.sampled_from([m for d in degrees for m in monomials_of_degree(nvars, d)])
         return ring.from_terms(draw(st.lists(st.tuples(mono, st.integers(1, p - 1)),
                                              max_size=4)))
-    return ring, order, [poly() for _ in range(draw(st.integers(1, 4)))]
+    # under lex or a block order in 4 variables, three such generators can
+    # make bases that take both paths minutes to build, and two stayed under
+    # 0.05 s in 7,000 drawn cases; the pinned examples keep three and four
+    most = 2 if nvars == 4 and order != GREVLEX else 4
+    return ring, order, [poly() for _ in range(draw(st.integers(1, most)))]
+
+
+def pinned_case(p, order, *gens):
+    ring = PolyRing(p, [f"x{i}" for i in range(4)])
+    return ring, order, [ring.parse(g) for g in gens]
 
 
 class TestPairUpdateAgainstChainCriterion:
     @settings(max_examples=300, deadline=None)
     @given(ideal_cases())
+    # cubics in 4 variables under lex and block orders whose later leads
+    # reach earlier tails, some of higher degree than the lead
+    @example(pinned_case(5, MonomialOrder.lex(), "x0*x1*x3+4*x2^2*x3+x1*x3^2+x2*x3",
+                         "3*x0*x2*x3+4*x0*x1+4*x0*x3+4*x0", "3*x0^2*x2+4*x1*x3+x2",
+                         "2*x0^2*x3+2*x1*x3^2"))
+    @example(pinned_case(7, MonomialOrder.block(1), "2*x0^2*x1+6*x0*x1*x3",
+                         "2*x0^2*x2+4*x1^2*x2+2*x0*x2+5*x3",
+                         "x0^3+4*x1*x2^2+5*x0*x2*x3+5*x1*x3^2", "6*x1^3+3*x0*x1*x3+x2*x3"))
+    @example(pinned_case(5, MonomialOrder.block(2), "3*x0*x1^2+x0*x1*x2+x2^2*x3+3*x1",
+                         "3*x0*x2^2+3*x1*x2^2+4*x2*x3^2", "2*x0^2+3*x3",
+                         "x1^2*x2+3*x2*x3^2+2*x3^3+x1"))
+    @example(pinned_case(3, MonomialOrder.block(3), "2*x0*x1*x3+2*x1*x2*x3+2*x2^2+x3^2",
+                         "2*x0*x1*x2+x3^3+x2", "2*x0^2*x3+2*x0*x2*x3+2*x3"))
+    @example(pinned_case(2, MonomialOrder.block(4), "x1^3+x0*x3^2+x0*x2",
+                         "x0*x1*x2+x2*x3+x3^2", "x0*x2^2+x0*x3^2+x3^2+x3"))
     def test_same_reduced_gb(self, case):
         ring, order, gens = case
         assert buchberger(gens, order) == reference_buchberger(gens, order)
