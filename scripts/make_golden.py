@@ -39,10 +39,8 @@ RINGS = {"fermat5": {"p": 5, "vars": ["x", "y", "z"], "mod": "x^3+y^3+z^3"},
          "quartic3": {"p": 3, "vars": ["x", "y", "z"], "mod": "x^4+y^4+z^4"}}
 
 # the suites of a ring pinned on fewer than all 13: on fermat5 the
-# corner-power suites take over 40 s each; on quartic3 these three reach
-# the branches that tau = m leaves trivial on fermat2
-SUITES = {"fermat5": ("decr", "main-theorem"),
-          "quartic3": ("higher", "lit", "max-in-class")}
+# corner-power suites take over 40 s each
+SUITES = {"fermat5": ("decr", "main-theorem")}
 
 # (ring, suite seed) -> directory of its golden reports; seed 1 is the
 # suite seed of the ``suites`` benchmark, and on poly2_3 the parameter

@@ -9,7 +9,7 @@ root (x) but preimage (x^2).
 The preimage is ``rings.twisted_colon`` with divisors (1), the one colon
 engine: for a homogeneous lift of finite colength, the linear-algebra
 kernel of u -> NF(u^q) over K's standard monomials, degree by degree
-(``groebner.frobenius_colon``), with its reduced GB as generators; for
+(``quotient.frobenius_colon``), with its reduced GB as generators; for
 every other lift, an elimination of the substitution ideal K + (y_i - x_i^q).
 """
 
@@ -47,18 +47,19 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
         for g in I.gens])
 
 
-def _root_of_polynomial(g: Polynomial, q: int) -> list:
-    """Generators of the minimal K with g in K^[q], in a polynomial ring.
-
-    Decomposes g over the free basis {x^mu : 0 <= mu_i < q} of S over S^q;
-    coefficients are unchanged since c^q = c on F_p.
-    """
+def _root_terms(g: Polynomial, q: int) -> list:
+    """The terms of each root of g, the generators of the minimal K with g
+    in K^[q] in a polynomial ring: the coefficients of g over the free basis
+    {x^mu : 0 <= mu_i < q} of S over S^q, where c^q = c on F_p."""
     buckets: dict = {}
     for m, c in g.terms.items():
-        mu = tuple(e % q for e in m)
-        root = tuple(e // q for e in m)
-        buckets.setdefault(mu, {})[root] = c
-    return [Polynomial(g.ring, terms) for terms in buckets.values()]
+        buckets.setdefault(tuple(e % q for e in m), {})[tuple(e // q for e in m)] = c
+    return list(buckets.values())
+
+
+def _root_of_polynomial(g: Polynomial, q: int) -> list:
+    """The roots of g (``_root_terms``) as polynomials."""
+    return [Polynomial(g.ring, terms) for terms in _root_terms(g, q)]
 
 
 def frobenius_root(J: Ideal, e: int) -> Ideal:
@@ -68,7 +69,8 @@ def frobenius_root(J: Ideal, e: int) -> Ideal:
     module over S^q is not available in a quotient.  Quotient callers must
     lift explicitly.  K is generated by the roots of J's generators, kept
     once per scalar class: the first root of each class, made monic, in
-    the order the roots come.
+    the order the roots come.  A root's terms are keyed by their class
+    before a polynomial is built, so each class builds one.
     """
     if J.ring.relation is not None:
         raise QuotientContextUnsupported(
@@ -77,12 +79,12 @@ def frobenius_root(J: Ideal, e: int) -> Ideal:
     if q == 1:
         return J
     p = J.ring.field.p
-    roots: dict = {}  # a root's terms scaled to 1 at their least exponent tuple -> the root
+    roots: dict = {}  # a root's terms scaled to 1 at their least exponent tuple -> its terms
     for g in J.gens:
-        for root in _root_of_polynomial(g, q):
-            inv = pow(root.terms[min(root.terms)], p - 2, p)
-            roots.setdefault(frozenset((m, c * inv % p) for m, c in root.terms.items()), root)
-    return Ideal(J.ring, [root.monic() for root in roots.values()])
+        for terms in _root_terms(g, q):
+            inv = pow(terms[min(terms)], p - 2, p)
+            roots.setdefault(frozenset((m, c * inv % p) for m, c in terms.items()), terms)
+    return Ideal(J.ring, [Polynomial(J.ring.poly, terms).monic() for terms in roots.values()])
 
 
 def frobenius_preimage(K: Ideal, e: int) -> Ideal:

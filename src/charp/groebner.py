@@ -31,31 +31,7 @@ Colengths are counted column by column: along the variable with the largest
 pure-power bound, the standard monomials over each point of the remaining
 box form one column, whose height the leads give directly, so the count
 walks the staircase's base instead of testing every point of the box.
-
-``frobenius_colon`` computes {u : u^q * B in A} for a homogeneous A of
-finite colength and homogeneous B.  S/A is a finite F_p-vector space, and
-u - NF(u) lies in A, so the result is A plus, in each degree d, the kernel
-of u -> (NF(u^q * b))_b over A's standard monomials u of degree d: Frobenius
-is additive, so the map is F_p-linear.  It is the first engine of
-``rings.twisted_colon``, which falls back to elimination for every other
-A and B.  With q = 1 it is the colon A : B, with B = (1) the Frobenius
-preimage {u : u^q in A}, and with A = tau * I^[q], B = tau the
-approximation I_q; degree by degree, in the
-spirit of FGLM (Faugere, Gianni, Lazard & Mora, J. Symb. Comp. 16, 1993)
-and Marinari, Moeller & Mora (AAECC 4, 1993).  A normal-form table depends
-on its degree alone, so only the degrees q * d + deg b are tabulated.  The
-reduced basis is read off the kernels, which come out in reduced row
-echelon form, and equals ``buchberger``'s.  The per-degree kernels run on
-rows packed into ints, one field per standard monomial.  Standard
-monomials, table keys and reducers are the grevlex keys that division uses,
-so multiplying monomials is one integer addition, u^q is one
-multiplication, and the degree of k is -(k >> 32n).  Over F_2 a field
-is one bit and adding two rows is one XOR (the M4RI idea of Albrecht &
-Bard).  Over odd p a field has b = bitlen(p(p - 1)) + 1 bits, as in
-Harvey's Kronecker packing (J. Symb. Comp. 44, 2009): y + c * x is one
-integer addition and one multiplication, after which every field holds at
-most p(p - 1) < 2^(b-1), and a few masked operations on the whole int
-bring each field back below p (``_normaliser``).
+Colons of zero-dimensional homogeneous ideals, on the same keys, are in ``quotient``.
 """
 
 from __future__ import annotations
@@ -63,8 +39,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import struct
-from functools import cache, reduce
-from operator import mul, or_
+from functools import cache
+from operator import mul
 
 from .core import (
     GREVLEX,
@@ -395,326 +371,6 @@ def colength(gb, nvars: int):
     if staircase is None:
         return INFINITE
     return sum(height for _, height in staircase[1])
-
-
-# ---------------------------------------------------------------------------
-# Colons of zero-dimensional homogeneous ideals by linear algebra.
-
-def _keys_of_degree(units, e: int) -> list:
-    """The keys under the grevlex ``units`` of every monomial of degree e,
-    descending, so ascending in grevlex; none when e < 0."""
-    if not units or e < 0:
-        return [0] if e == 0 else []
-    # ascending grevlex within a degree: the last exponent falls first, then
-    # the one before it, and so on; (key, degree left) of each tail
-    tails = [(0, e)]
-    for u in reversed(units[1:]):
-        tails = [(k + j * u, left - j) for k, left in tails for j in range(left, -1, -1)]
-    return [k + left * units[0] for k, left in tails]
-
-
-def _width(p: int) -> int:
-    """Bits per field of a packed row over F_p: 1 at p = 2, where rows add by
-    XOR; else bitlen(p(p - 1)) + 1, so y + c * x <= p(p - 1) keeps its top bit 0."""
-    return 1 if p == 2 else (p * (p - 1)).bit_length() + 1
-
-
-def _fields(v: int, b: int):
-    """(index, value) of each nonzero b-bit field of v, lowest first."""
-    mask = (1 << b) - 1
-    while v:
-        i = ((v & -v).bit_length() - 1) // b
-        c = v >> i * b & mask
-        yield i, c
-        v ^= c << i * b
-
-
-def _bits(v: int):
-    """Indices of the set bits of v, lowest first."""
-    while v:
-        low = v & -v
-        yield low.bit_length() - 1
-        v ^= low
-
-
-def _normaliser(p: int, fields: int):
-    """z -> z with each of its first ``fields`` fields reduced mod p, for odd
-    p and a packed z whose fields hold at most p(p - 1).
-
-    Adding 2^(b-1) - s to every field sets a field's top bit iff the field
-    is at least s, and carries into no neighbour, since both summands are
-    below 2^(b-1); subtracting s from the flagged fields, for s = p * 2^j
-    from the largest one at most p(p - 1) down to p, leaves each below p.
-    """
-    b = _width(p)
-    ones = ((1 << fields * b) - 1) // ((1 << b) - 1)
-    high = ones << b - 1
-    steps = [(((1 << b - 1) - s) * ones, s)
-             for s in (p << j for j in reversed(range((p - 1).bit_length())))]
-
-    def normal(z: int) -> int:
-        for bias, s in steps:
-            z -= (((z + bias) & high) >> b - 1) * s
-        return z
-    return normal
-
-
-def _narrow(kernel, n: int, image, p: int) -> list:
-    """Basis of {v in span(kernel) : sum of v_i * image(i) over i is 0}.
-
-    Vectors are packed rows over n columns, field i for column i, and
-    ``kernel`` None stands for the n unit vectors; ``image(i)`` is column
-    i's image, a packed row too.  A row is image << n fields | combination:
-    eliminating on the image's top field carries the combination along,
-    and the rows whose image vanishes span the kernel.
-
-    If ``kernel`` is in reduced row echelon form with ascending pivots, each
-    a vector's top field, with value 1, as unit vectors are, so is the
-    result: each kept vector is its input plus a combination of earlier
-    inputs, all of which became image pivots, so its top field is its
-    input's, and no other kept vector meets it.
-    """
-    b = _width(p)
-    shift = n * b
-    if kernel is None:
-        kernel = [1 << i * b for i in range(n)]
-    support = reduce(or_, kernel, 0)
-    indices = _bits(support) if p == 2 else (i for i, _ in _fields(support, b))
-    images = {i: image(i) << shift for i in indices}
-    pivots: dict = {}  # top field -> row with value 1 there
-    narrowed = []
-    if p == 2:
-        for vec in kernel:
-            row = vec
-            for i in _bits(vec):
-                row ^= images[i]
-            while row >> shift:
-                top = row.bit_length()
-                prow = pivots.get(top)
-                if prow is None:
-                    pivots[top] = row
-                    break
-                row ^= prow
-            else:
-                narrowed.append(row)
-        return narrowed
-    normal = _normaliser(p, -(-max([shift, *map(int.bit_length, images.values())]) // b))
-    for vec in kernel:
-        row = vec
-        for i, c in _fields(vec, b):
-            row = normal(row + c * images[i])
-        while row >> shift:
-            top = (row.bit_length() - 1) // b
-            lead = row >> top * b
-            prow = pivots.get(top)
-            if prow is None:
-                pivots[top] = normal(pow(lead, p - 2, p) * row)
-                break
-            row = normal(row + (p - lead) * prow)
-        else:
-            narrowed.append(row)
-    return narrowed
-
-
-def _axpy(y: dict, a: int, x: dict, p: int):
-    """y += a * x over F_p, in place, dropping zeros."""
-    for k, w in x.items():
-        s = (y.get(k, 0) + a * w) % p
-        if s:
-            y[k] = s
-        else:
-            y.pop(k, None)
-
-
-class _Quotient:
-    """S/A for the reduced grevlex GB of a homogeneous A of finite colength.
-
-    Holds the grevlex keys of A's standard monomials by degree, in ascending
-    grevlex (descending key), with the top standard degree, and the
-    ``packed_basis`` of the GB as reducers.  A subspace V of span(standard
-    monomials) with A + V an ideal is kept as one kernel basis per degree;
-    ``basis`` reads the reduced GB of A + V off them.
-    ``zero_dimensional_quotient`` builds one from A's standard keys, given
-    in descending order.
-
-    A vector of degree d is a packed row, an int whose field i, ``_width(p)``
-    bits wide, holds the coefficient of ``standard[d][i]``, so the top field
-    is the largest monomial.  Over F_2 adding two rows is one XOR; over odd
-    p, y + c * x is one addition and one multiplication of ints followed by
-    a ``_normaliser``.  Table keys are grevlex keys too, so x^c * t is one
-    integer addition and u^q is one multiplication.
-    """
-
-    def __init__(self, gb, ring: PolyRing, keys):
-        self.ring = ring
-        self.p = p = ring.field.p
-        self.width = _width(p)
-        self.units, self.guard = GREVLEX.units(ring.nvars), _guard(ring.nvars)
-        # descending keys ascend in grevlex, so in degree
-        self.standard = {d: list(ks) for d, ks in itertools.groupby(keys, key=self.degree)}
-        self.top = max(self.standard, default=-1)
-        self.reducers = packed_basis(gb)
-        self.leads = [lead for lead, _, _, _ in self.reducers]
-
-    def degree(self, k: int) -> int:
-        """The degree of the monomial with grevlex key k, its weight."""
-        return -(k >> 32 * len(self.units))
-
-    def table(self, e: int) -> dict:
-        """{k: NF(m)} for every monomial m of degree e, k its key and NF(m) a
-        packed row.
-
-        A non-standard m = x^c * lead(g) has NF(m) = -sum c_t NF(x^c * t)
-        over g's tail terms t; each x^c * t is smaller than m, so walking the
-        monomials in ascending grevlex finds its normal form already computed.
-        """
-        standard, b, p = self.standard[e] + [None], self.width, self.p
-        reducers, leads, guard = self.reducers, self.leads, self.guard
-        normal = p != 2 and _normaliser(p, len(standard) - 1)
-        table, i = {}, 0
-        for k in _keys_of_degree(self.units, e):
-            if k == standard[i]:  # both ascend in grevlex: k is standard[e][i]
-                table[k] = 1 << i * b
-                i += 1
-                continue
-            lead, _, tail, _ = reducers[_divisor(leads, k, guard)]
-            shift = k - lead
-            row = 0
-            if normal:
-                for t, c in tail:
-                    row = normal(row + c * table[t + shift])
-                table[k] = normal((p - 1) * row)  # negated once, not per term
-            else:
-                for t, _ in tail:
-                    row ^= table[t + shift]
-                table[k] = row
-        return table
-
-    def image(self, divisors, q: int, e: int, table: dict):
-        """u -> NF(u^q * b_j) concatenated at field offset j * len(standard[e]),
-        u and the ``divisors`` of one degree given by keys, {key: coefficient},
-        and ``table`` the normal forms of degree e = q * deg u + deg b; the
-        key of u^q * t is q * u + t."""
-        n = len(self.standard[e])
-        p, offset = self.p, n * self.width
-        normal = p != 2 and _normaliser(p, n)
-
-        def image(uk):
-            uk *= q
-            out = 0
-            for j, terms in enumerate(divisors):
-                acc = 0
-                if normal:
-                    for t, c in terms.items():
-                        acc = normal(acc + c * table[uk + t])
-                else:
-                    for t in terms:
-                        acc ^= table[uk + t]
-                out |= acc << j * offset
-            return out
-        return image
-
-    def narrow(self, kernel, d: int, image) -> list:
-        """``_narrow`` of a degree-d kernel (None: all of it) by ``image``."""
-        keys = self.standard[d]
-        return _narrow(kernel, len(keys), lambda i: image(keys[i]), self.p)
-
-    def unpack(self, d: int, vec: int) -> dict:
-        keys = self.standard[d]
-        return {keys[i]: c for i, c in _fields(vec, self.width)}
-
-    def basis(self, kernels: dict) -> list:
-        """Reduced grevlex GB of A + V, V given by ``kernels``: degree -> kernel
-        basis in reduced row echelon form; a degree absent from ``kernels``
-        lies wholly in V.
-
-        The lead ideal of A + V is leads(A) + the pivots of V, so a minimal
-        pivot gives its row, and a minimal lead of g in A's GB gives g with
-        its pivot tail terms reduced by their rows; no row reduction runs.
-        """
-        rows = {self.standard[d][(v.bit_length() - 1) // self.width]: self.unpack(d, v)
-                for d, vecs in kernels.items() for v in vecs}  # pivot -> RREF row
-        units, degree = self.units, self.degree
-
-        def minimal(k):
-            # each m / x_i, key k - u_i where exponent i is nonzero, is
-            # standard, so it lies in the lead ideal of A + V iff its degree
-            # lies wholly in V or it is a pivot
-            return not k if degree(k) - 1 not in kernels else not any(
-                k >> 32 * i & 0xFFFFFFFF and k - u in rows for i, u in enumerate(units))
-
-        out = []
-        for lead, _, tail, _ in self.reducers:
-            if minimal(lead):
-                terms = {lead: 1}
-                terms.update(tail)
-                for t, c in tail:
-                    row = rows.get(t) if degree(t) in kernels else {t: 1}
-                    if row is not None:
-                        _axpy(terms, -c, row, self.p)
-                out.append(terms)
-        out.extend(row for pivot, row in rows.items() if minimal(pivot))
-        # a degree wholly in V above another one adds no minimal monomial
-        out.extend({u: 1} for d, keys in self.standard.items()
-                   if d not in kernels and (d == 0 or d - 1 in kernels)
-                   for u in keys if minimal(u))
-        out.sort(key=min, reverse=True)  # ascending leads
-        return [_from_keys(self.ring, dict(sorted(terms.items()))) for terms in out]
-
-
-def zero_dimensional_quotient(gb, ring: PolyRing):
-    """S/A for the reduced grevlex GB ``gb`` of A, the ``_Quotient`` that
-    ``frobenius_colon`` runs on, or None unless A is homogeneous of finite
-    colength.
-
-    The staircase of A is walked once, here: the test for finite colength
-    and the standard monomials of the quotient share it.  Their keys are
-    sorted once, in descending order.
-    """
-    if not all(g.is_homogeneous() for g in gb):
-        return None
-    keys = []
-    if not any(g.is_constant() and not g.is_zero() for g in gb):
-        staircase = _staircase(gb, ring.nvars)
-        if staircase is None:
-            return None
-        unit, columns = staircase
-        keys = sorted((k + t * unit for k, height in columns for t in range(height)),
-                      reverse=True)
-    return _Quotient(gb, ring, keys)
-
-
-def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
-    """Reduced grevlex GB of {u : u^q * (divisors) in A}, the list
-    ``buchberger`` returns.
-
-    ``quotient`` is S/A from ``zero_dimensional_quotient``, for a
-    homogeneous ideal A of finite colength, and ``divisors`` are
-    homogeneous.  The result is A + V with V spanned by standard monomials
-    of A, and each degree d of V is the kernel of u -> (NF(u^q * b))_b over
-    the standard monomials u of degree d, narrowed once per divisor degree
-    delta on the table of degree q * d + delta.  A divisor in A, such as
-    zero or one of degree above A's top standard degree, imposes nothing,
-    and a degree never narrowed lies wholly in the result.
-    """
-    by_degree: dict = {}
-    for b in divisors:
-        if remainder(b, quotient.reducers):
-            by_degree.setdefault(b.degree(), []).append(_to_keys(b, GREVLEX))
-    if not by_degree:
-        return [quotient.ring.one()]
-    kernels: dict = {}  # degree -> narrowed kernel basis; absent: never narrowed
-    for e in range(quotient.top + 1):
-        narrow = [(delta, (e - delta) // q) for delta in sorted(by_degree)
-                  if e >= delta and (e - delta) % q == 0
-                  and kernels.get((e - delta) // q) != []]
-        if not narrow:
-            continue
-        table = quotient.table(e)
-        for delta, d in narrow:
-            image = quotient.image(by_degree[delta], q, e, table)
-            kernels[d] = quotient.narrow(kernels.get(d), d, image)
-    return quotient.basis(kernels)
 
 
 def divide_exact(f: Polynomial, g: Polynomial):

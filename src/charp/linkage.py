@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .core import GREVLEX, AlgebraError, Polynomial
 from .frobenius import bracket_power, frobenius_q
-from .groebner import _exponents, _fields, _keys_of_degree, _narrow, _to_keys, _width
+from .groebner import _exponents, _to_keys
+from .quotient import _fields, _keys_of_degree, _narrow, _width
 from .rings import (
     Ideal,
     ParameterSearchFailed,

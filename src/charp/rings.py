@@ -9,7 +9,7 @@ lifted reduced Groebner bases coincide.
 ``twisted_colon`` is the one colon engine: every colon, Frobenius preimage
 and approximation I_q is {u : u^q * B in A} for some A, B and q.  A unit A
 gives (1) at once.  Otherwise it tries, in order, the linear-algebra kernel
-``groebner.frobenius_colon`` (B homogeneous, A's lift homogeneous of finite
+``quotient.frobenius_colon`` (B homogeneous, A's lift homogeneous of finite
 colength); A itself as A : B when B holds a nonzero constant; elimination
 (``_colon_gens``) for K = A : B; and for q > 1 then {u : u^q in K}, by the
 kernel again when K qualifies, else by elimination
@@ -57,12 +57,11 @@ from .groebner import (
     colength as _gb_colength,
     divide_exact,
     eliminate,
-    frobenius_colon,
     krull_dimension,
     packed_basis,
     remainder,
-    zero_dimensional_quotient,
 )
+from .quotient import frobenius_colon, zero_dimensional_quotient
 
 
 class ParameterSearchFailed(AlgebraError):

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from charp import groebner, rings
+from charp import rings
 from charp.core import MAX_EXPONENT, ExponentOverflow, Polynomial
 from charp.frobenius import (
     QuotientContextUnsupported,
@@ -16,6 +16,7 @@ from charp.frobenius import (
     frobenius_root,
 )
 from charp.groebner import buchberger
+from charp.quotient import frobenius_colon, zero_dimensional_quotient
 from charp.rings import Ideal, RingContext, _preimage_by_elimination
 from oracle import random_homogeneous_dict
 
@@ -318,8 +319,8 @@ class TestFrobeniusColon:
     def test_equals_preimage_of_colon(self, case):
         ring, A, divisors, e = case
         q = frobenius_q(ring, e)
-        quotient = groebner.zero_dimensional_quotient(A.gb, ring.poly)
-        twisted = groebner.frobenius_colon(quotient, divisors, q)
+        quotient = zero_dimensional_quotient(A.gb, ring.poly)
+        twisted = frobenius_colon(quotient, divisors, q)
         B = Ideal(ring, divisors)
         assert twisted == frobenius_preimage(A.colon(B), e).gb
         colon = buchberger(rings._colon_gens(A.lift_gens(), divisors, ring.poly))

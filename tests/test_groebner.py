@@ -21,17 +21,20 @@ from charp.groebner import (
     _divisor,
     _exponents,
     _guard,
-    _keys_of_degree,
     _packed,
     _staircase,
-    _normaliser,
     _to_keys,
-    _width,
     buchberger,
     colength,
     divide_exact,
     eliminate,
     normal_form,
+)
+from charp.quotient import (
+    _fields,
+    _keys_of_degree,
+    _normaliser,
+    _width,
     zero_dimensional_quotient,
 )
 from charp.script import ScriptRunner
@@ -948,7 +951,7 @@ class TestPackedKernels:
         tables = {}
 
         def unpack(d, vec):
-            return {exponents(k): c for k, c in quotient.unpack(d, vec).items()}
+            return {standard[d][i]: c for i, c in _fields(vec, _width(p))}
 
         def tables_at(e):
             if e not in tables:
@@ -992,3 +995,58 @@ class TestPackedKernels:
                         assert pkernels[d] == [pack(d, v) for v in kernels[d]]
                 assert quotient.basis(pkernels) == reference_basis(
                     gb, standard, kernels, ring)
+
+
+@st.composite
+def border_cases(draw):
+    """(ring, reduced grevlex GB) of a homogeneous ideal of finite colength
+    at most 400 over F_p, p in {2, 3, 5, 7}, in 1-3 variables: 1-2 forms
+    per variable of degree 1-3, with or without pure powers of degree 1-4."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(p, [f"x{i}" for i in range(nvars)])
+
+    def form():
+        monos = monomials_of_degree(nvars, draw(st.integers(1, 3)))
+        cs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+        return ring.from_terms(zip(monos, cs))
+
+    gens = [form() for _ in range(nvars + draw(st.integers(0, 1)))]
+    if draw(st.booleans()):
+        gens += [ring.var(i) ** draw(st.integers(1, 4)) for i in range(nvars)]
+    gb = buchberger([g for g in gens if not g.is_zero()])
+    assume(gb and colength(gb, nvars) <= 400)
+    return ring, gb
+
+
+class TestBorderTables:
+    """``_Quotient.borders`` against ``normal_form``: the table of degree e
+    holds NF(m) for exactly the standard and the border monomials m of
+    degree e, those whose quotient by some variable is standard."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(border_cases())
+    # (x^2, y^2): x^2 * y is a border monomial but no lead, so its row is
+    # y * NF(x^2) from the table one degree lower
+    @example((PolyRing(3, ["x", "y"]), buchberger([PolyRing(3, ["x", "y"]).parse("x^2"),
+                                                   PolyRing(3, ["x", "y"]).parse("y^2")])))
+    @example((PolyRing(7, ["x", "y", "z"]), buchberger([
+        PolyRing(7, ["x", "y", "z"]).parse(g) for g in ("x^2+3*y*z", "y^2-x*z", "z^3")])))
+    def test_against_normal_form(self, case):
+        ring, gb = case
+        n, p = ring.nvars, ring.field.p
+        exponents = _exponents(n)
+        quotient = zero_dimensional_quotient(gb, ring)
+        standard = {d: [exponents(k) for k in keys] for d, keys in quotient.standard.items()}
+        tables = list(quotient.borders())
+        assert len(tables) == max(quotient.top, 0)
+        for e, (table, _) in enumerate(tables, 1):
+            below = set(standard[e - 1])
+            expected = {m for m in monomials_of_degree(n, e)
+                        if any(m[i] and m[:i] + (m[i] - 1,) + m[i + 1:] in below
+                               for i in range(n))}
+            assert set(standard[e]) <= expected
+            assert {exponents(k) for k in table} == expected
+            for k, row in table.items():
+                nf = Polynomial(ring, {standard[e][i]: c for i, c in _fields(row, _width(p))})
+                assert nf == normal_form(ring.monomial(exponents(k)), gb)

@@ -7,9 +7,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from charp import groebner, rings, singularity
+from charp import groebner, quotient as quotient_module, rings, singularity
 from charp.core import AlgebraError, PolyRing, Polynomial
-from charp.groebner import INFINITE, buchberger, colength, frobenius_colon
+from charp.frobenius import bracket_power
+from charp.groebner import INFINITE, buchberger, colength
+from charp.quotient import frobenius_colon, zero_dimensional_quotient
 from charp.rings import (
     Ideal,
     ParameterSearchFailed,
@@ -610,7 +612,7 @@ def _cube_colon(p):
 
 
 def _both_colons(ring, gens, divisors):
-    quotient = groebner.zero_dimensional_quotient(buchberger(gens), ring)
+    quotient = zero_dimensional_quotient(buchberger(gens), ring)
     fast = frobenius_colon(quotient, divisors)
     slow = rings._colon_gens(gens, divisors, ring)
     return fast, slow
@@ -633,16 +635,16 @@ class TestColonByLinearAlgebra:
         # value 1, in no other vector, and the pivots ascend
         ring, gens, divisors = case
         kernels = []
-        narrow = groebner._narrow
+        narrow = quotient_module._narrow
 
         def spy(kernel, n, image, p):
             rows = narrow(kernel, n, image, p)
-            kernels.append([dict(groebner._fields(v, groebner._width(p))) for v in rows])
+            kernels.append([dict(quotient_module._fields(v, quotient_module._width(p))) for v in rows])
             return rows
 
-        with mock.patch.object(groebner, "_narrow", spy):
+        with mock.patch.object(quotient_module, "_narrow", spy):
             frobenius_colon(
-                groebner.zero_dimensional_quotient(buchberger(gens), ring), divisors)
+                zero_dimensional_quotient(buchberger(gens), ring), divisors)
         for kernel in kernels:
             pivots = [max(v) for v in kernel]
             assert pivots == sorted(set(pivots))
@@ -664,13 +666,14 @@ class TestColonByLinearAlgebra:
     def test_divisors_in_dividend_tabulate_nothing(self):
         # x^2 + 2y^2 and x*z^2 lie in A at or below its top standard degree,
         # 3 (x*y*z), and y^4 above it: the colon is (1), and no degree is
-        # tabulated
+        # tabulated, by the full table or the border tables
         R = PolyRing(5, ["x", "y", "z"])
         A = [R.parse("x^2"), R.parse("y^2"), R.parse("z^2+x*y")]
         divisors = [R.parse("x^2+2y^2"), R.parse("x*z^2"), R.parse("y^4")]
-        with mock.patch.object(groebner._Quotient, "table") as table:
+        with mock.patch.object(quotient_module._Quotient, "table") as table, \
+                mock.patch.object(quotient_module._Quotient, "borders") as borders:
             fast, slow = _both_colons(R, A, divisors)
-        assert table.call_count == 0
+        assert table.call_count == borders.call_count == 0
         assert fast == slow == [R.one()]
 
     @settings(max_examples=100, deadline=None)
@@ -719,6 +722,20 @@ class TestColonByLinearAlgebra:
         assert list(colon.gens) == rings._colon_gens(a.lift_gens(), list(I.gens),
                                                      fermat2.poly)
         assert fermat2.maximal_ideal().colon(I) == fermat2.ideal("1")
+
+
+class TestLargeColons:
+    """(m * (x, y)^[q]) : m on the Fermat cubic at p = 5, a colon on border
+    tables whose dividend has colength 3q^2 + 2: one less than (x, y)^[q]."""
+
+    @pytest.mark.parametrize("e, length", [(2, 1874), (3, 46874)], ids=["q25", "q125"])
+    def test_colength(self, e, length):
+        R = RingContext(5, ["x", "y", "z"], "x^3+y^3+z^3")
+        m = R.maximal_ideal()
+        J = bracket_power(R.ideal("x", "y"), e)
+        colon = (m * J).colon(m)
+        assert colon.colength() == length == J.colength() - 1
+        assert colon.contains_ideal(J)
 
 
 def _spy(monkeypatch, taken, owner, name):

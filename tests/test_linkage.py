@@ -209,6 +209,10 @@ class TestLinkDeltaClosedForm:
 _BRACKET_RINGS = {p: _RINGS[p] for p in (2, 3, 5)}
 # those of dimension 2 at p = 3
 _DIM2_AT_3 = {3: [(v, f) for v, f in _RINGS[3] if len(v) - (f is not None) == 2]}
+# those of dimension 2 at p = 5 but the Fermat cubic, where a^[25] : b^[25]
+# takes 1-5 s an example
+_DIM2_AT_5 = {5: [(v, f) for v, f in _RINGS[5]
+                  if len(v) - (f is not None) == 2 and f != "x^3+y^3+z^3"]}
 
 
 def _check_bracket_colon(a, b, e):
@@ -235,9 +239,23 @@ class TestBracketPowerColon:
     @settings(max_examples=5, deadline=None)
     @given(nested_parameter_pairs(_DIM2_AT_3))
     def test_closed_form_at_q_9(self, pair):
-        # dimension 2 at p = 3 only, up to 1.6 s an example: at p = 5, q = 25
-        # one example took up to a minute
+        # dimension 2 at p = 3 only, up to 1.6 s an example
         _check_bracket_colon(*pair, 2)
+
+    @settings(max_examples=10, deadline=None)
+    @given(nested_parameter_pairs(_DIM2_AT_5))
+    def test_closed_form_at_q_25(self, pair):
+        # a^[25] has colength 625 times a's: 2,500-11,250 here, 1-1.5 s in all
+        _check_bracket_colon(*pair, 2)
+
+    def test_closed_form_at_q_25_on_the_fermat_cubic(self):
+        # a^[25] has colength 7,500 on x^3+y^3+z^3 at p = 5
+        ring = _ring(5, ("x", "y", "z"), "x^3+y^3+z^3")
+        rng = random.Random(0)
+        b = find_parameter_ideal(ring.maximal_ideal(), rng)
+        a = find_parameter_ideal(b, rng, min_bump=1)
+        assert bracket_power(a, 2).colength() == 7500
+        _check_bracket_colon(a, b, 2)
 
 
 class TestCornerPower:
