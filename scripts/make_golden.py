@@ -1,7 +1,7 @@
 """Write the golden suite reports that ``tests/test_golden.py`` compares.
 
 Runs each of the 13 ``alg verify`` suites with default parameters on a
-built-in ring, or on a ring of ``RINGS``, drops the ``timings`` block and
+ring of ``charp.suites.BUILTIN_RINGS``, drops the ``timings`` block and
 writes ``report_to_json`` of the rest to ``<out>/<suite>.json``.  ``GOLDEN``
 maps each pinned (ring, suite seed) to its directory, and ``SUITES`` lists
 the suites of a ring that runs fewer than all 13.  ``VARIANTS`` pins
@@ -32,12 +32,6 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from charp.suites import SUITE_NAMES, report_to_json, verify_suite  # noqa: E402
 
 _DIR = os.path.join(ROOT, "tests", "golden")
-
-# rings pinned here that are not built in, as ``verify_suite`` parameters:
-# the Fermat cubic at p = 5, where I_q runs up to q = 125, and the Fermat
-# quartic at p = 3, whose test ideal is m^2 rather than m
-RINGS = {"fermat5": {"p": 5, "vars": ["x", "y", "z"], "mod": "x^3+y^3+z^3"},
-         "quartic3": {"p": 3, "vars": ["x", "y", "z"], "mod": "x^4+y^4+z^4"}}
 
 # the suites of a ring pinned on fewer than all 13: on fermat5 the
 # corner-power suites take over 40 s each
@@ -75,8 +69,7 @@ def golden_text(suite: str, seed: int, ring: str = "fermat2",
                 params: dict | None = None) -> str:
     """The suite's report on ``ring`` at ``seed`` with ``params`` as JSON,
     without its timings."""
-    report = verify_suite(suite, {**RINGS.get(ring, {"ring": ring}), **(params or {}),
-                                  "seed": seed})
+    report = verify_suite(suite, {"ring": ring, **(params or {}), "seed": seed})
     report.pop("timings")
     return report_to_json(report)
 
@@ -90,7 +83,7 @@ def write_reports(out: str, ring: str, seed: int, params: dict, suites):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ring", help="built-in ring or one of RINGS (default: fermat2)")
+    parser.add_argument("--ring", help="built-in ring (default: fermat2)")
     parser.add_argument("--seed", type=int, help="suite seed (default: 0)")
     parser.add_argument("--out", help="directory to write to (default: the pair's pinned one)")
     args = parser.parse_args(argv)

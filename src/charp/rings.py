@@ -505,8 +505,12 @@ def _share_a_zero(elems, zeros, p: int) -> bool:
     return any(all(_value(e, z, p) == 0 for e in elems) for z in zeros)
 
 
-def find_parameter_ideal(I: Ideal, rng: random.Random, max_tries: int = 60,
-                         height: int | None = None,
+_PARAMETER_TRIES = 60  # candidates ``find_parameter_ideal`` draws at most
+_EXTENSION_TRIES = 80  # forms ``extend_to_m_primary`` draws per height step
+_UNMIXED_SAMPLES = 3  # parameter ideals ``unmixed_part`` cross-checks
+
+
+def find_parameter_ideal(I: Ideal, rng: random.Random, height: int | None = None,
                          min_bump: int = 0) -> Ideal:
     """A parameter ideal a inside I: exactly g generators with ht(a) = g.
 
@@ -528,18 +532,14 @@ def find_parameter_ideal(I: Ideal, rng: random.Random, max_tries: int = 60,
         raise ParameterSearchFailed("height must be >= 1")
     p = I.ring.field.p
     zeros = _rational_zeros([], I.ring) if g == I.ring.dim else []
-    for trial in range(max_tries):
-        bump = min(trial * 3 // max_tries, 2) if max_tries >= 3 else 0
-        bump = max(bump, min_bump)
+    for trial in range(_PARAMETER_TRIES):
+        bump = max(min(trial * 3 // _PARAMETER_TRIES, 2), min_bump)
         elems = []
-        ok = True
         for _ in range(g):
-            e = _random_element_of(I, bump, rng)
-            if e.is_zero():
-                ok = False
+            elems.append(_random_element_of(I, bump, rng))
+            if elems[-1].is_zero():
                 break
-            elems.append(e)
-        if not ok:
+        if elems[-1].is_zero():
             continue
         if zeros and all(e.is_homogeneous() for e in elems) \
                 and _share_a_zero(elems, zeros, p):
@@ -555,10 +555,10 @@ def find_parameter_ideal(I: Ideal, rng: random.Random, max_tries: int = 60,
             continue
         return cand
     raise ParameterSearchFailed(
-        f"no parameter ideal of height {g} found in {max_tries} tries")
+        f"no parameter ideal of height {g} found in {_PARAMETER_TRIES} tries")
 
 
-def extend_to_m_primary(b: Ideal, rng: random.Random, max_tries: int = 80):
+def extend_to_m_primary(b: Ideal, rng: random.Random):
     """d - g elements whose addition to b makes it m-primary.
 
     Greedy randomized height raising; deterministic under the caller's rng.
@@ -578,10 +578,10 @@ def extend_to_m_primary(b: Ideal, rng: random.Random, max_tries: int = 80):
         zeros = []
         if g + len(extras) + 1 == d and all(h.is_homogeneous() for h in current.gens):
             zeros = _rational_zeros(current.gens, b.ring)
-        for trial in range(max_tries):
+        for trial in range(_EXTENSION_TRIES):
             # escalate degree: low-degree forms can all vanish on the
             # (many) curve components of a composite starting ideal
-            degree = 1 + min(trial // max(1, max_tries // 5), 4)
+            degree = 1 + min(trial // (_EXTENSION_TRIES // 5), 4)
             x = _random_homogeneous(b.ring.poly, degree, rng)
             if x.is_zero() or _share_a_zero([x], zeros, p):
                 continue
@@ -602,20 +602,19 @@ def extend_to_m_primary(b: Ideal, rng: random.Random, max_tries: int = 80):
     return extras
 
 
-def unmixed_part(I: Ideal, rng: random.Random | None = None, samples: int = 3) -> Ideal:
+def unmixed_part(I: Ideal, rng: random.Random | None = None) -> Ideal:
     """a : (a : I) for a sampled parameter ideal a in I of the same height.
 
-    The value is independent of the choice of a; ``samples`` draws are made
-    and the results of the distinct ones cross-checked before returning.
-    A draw equal to an earlier one (for a principal I every draw is I
-    itself) reuses its result.
+    The value is independent of the choice of a; ``_UNMIXED_SAMPLES``
+    draws are made and the results of the distinct ones cross-checked
+    before returning.  A draw equal to an earlier one (for a principal I
+    every draw is I itself) reuses its result.
     """
-    if rng is None:
-        rng = random.Random(0xA11CE)
+    rng = rng or random.Random(0xA11CE)
     if I.is_unit():
         raise UnitIdeal("unmixed part of the unit ideal is undefined")
     results = {}
-    for _ in range(max(1, samples)):
+    for _ in range(_UNMIXED_SAMPLES):
         a = find_parameter_ideal(I, rng)
         if a.key() not in results:
             results[a.key()] = a.colon(a.colon(I))

@@ -3,7 +3,9 @@
 Each suite encodes one mathematical invariant as a list of concrete
 checks; every check records the canonical Groebner bases of the ideals it
 used so it can be re-run standalone.  Reports are byte-identical for a
-fixed (suite, params, seed) once the timings block is stripped.
+fixed (suite, params, seed) once the timings block is stripped.  A suite
+runs on a ring of ``BUILTIN_RINGS`` (fermat2 by default) or on (p, vars,
+mod); one that reads --ideal builds its default fixtures only without it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .linkage import (
 )
 from .rings import (
     Ideal,
-    ParameterSearchFailed,
     RingContext,
     find_parameter_ideal,
     is_unmixed,
@@ -35,10 +36,14 @@ from .singularity import iq_approx, star_approx, star_colon, test_ideal
 
 DEFAULTS = {"emax": 3, "depth": 2, "samples": 3, "tmax": 3}
 
+# the Fermat cubics at p = 2 and p = 5 (where I_q runs up to q = 125),
+# polynomial rings over F_2, and the Fermat quartic at p = 3, where tau = m^2
 BUILTIN_RINGS = {
     "fermat2": (2, ["x", "y", "z"], "x^3+y^3+z^3"),
+    "fermat5": (5, ["x", "y", "z"], "x^3+y^3+z^3"),
     "poly2_2": (2, ["x", "y"], None),
     "poly2_3": (2, ["x", "y", "z"], None),
+    "quartic3": (3, ["x", "y", "z"], "x^4+y^4+z^4"),
 }
 
 
@@ -84,18 +89,49 @@ def _gb(I: Ideal) -> str:
     return "(" + ", ".join(I.gb_strings()) + ")"
 
 
+def _squares(ring: RingContext) -> Ideal:
+    """(x^2, y^2, z^2): the squares of the variables."""
+    return Ideal(ring, [v ** 2 for v in ring.maximal_ideal().gens])
+
+
+def _pair(ring: RingContext) -> Ideal:
+    """(x, y): the first two variables."""
+    return Ideal(ring, list(ring.maximal_ideal().gens[:2]))
+
+
+def _exponents(ring: RingContext, emax: int, start: int = 1) -> list:
+    """(e, q = p^e) for e from ``start`` to min(3, emax): the e that --qmax allows."""
+    return [(e, frobenius_q(ring, e)) for e in range(start, min(3, emax) + 1)]
+
+
+def _fixtures(params: dict, label: str, default):
+    """[(label, the --ideal)] when one is given, else ``default()``, so a
+    default fixture is built (and draws from the rng) only without it."""
+    return default() if params["ideal"] is None else [(label, params["ideal"])]
+
+
+def _containing_tau(m: Ideal, tau: Ideal) -> list:
+    """m, and tau when tau is proper and not m."""
+    return [("m", m)] + ([("tau", tau)] if not tau.is_unit() and tau != m else [])
+
+
+def _tilde(I: Ideal, params: dict, rng: random.Random):
+    """tilde(I) and its record, explored to depth at most 2."""
+    return tilde_approx(I, min(2, params["depth"]), params["samples"], rng)
+
+
 def _sample_unmixed(ring: RingContext, count: int, rng: random.Random):
-    """Deterministic unmixed samples: m, the degree-2 power ideal, then
-    alternating parameter ideals and unmixed parts of perturbed ones."""
+    """Deterministic unmixed samples, labelled by index: m, (x^2, y^2, z^2),
+    then alternating parameter ideals and unmixed parts of perturbed ones."""
     m = ring.maximal_ideal()
-    out = [m, Ideal(ring, [v ** 2 for v in m.gens])]
+    out = [m, _squares(ring)]
     while len(out) < count:
         a = find_parameter_ideal(m, rng)
         out.append(a)
         if len(out) < count:
             extra = a + Ideal(ring, [m.gens[rng.randrange(len(m.gens))] ** 2])
             out.append(unmixed_part(extra, rng))
-    return out[:count]
+    return [(f"ideal {i}", I) for i, I in enumerate(out[:count])]
 
 
 # ---------------------------------------------------------------------------
@@ -103,80 +139,69 @@ def _sample_unmixed(ring: RingContext, count: int, rng: random.Random):
 # ---------------------------------------------------------------------------
 
 def _suite_paper_example(ring, params, rng, rep):
-    if ring != make_ring("fermat2"):
+    if (ring.field.p, list(ring.variables), str(ring.relation)) != BUILTIN_RINGS["fermat2"]:
         rep.skip("paper example", f"expected values hold on fermat2 only, not {ring!r}")
         return
-    I = ring.ideal("x^2", "y^2", "z^2")
+    I = _squares(ring)
     a = ring.ideal("x^2", "y^2")
     J = a.colon(I)
-    expect_J = ring.ideal("x^2", "y^2", "z")
-    rep.check("colon(a,I) = (x^2,y^2,z)", J == expect_J,
+    rep.check("colon(a,I) = (x^2,y^2,z)", J == ring.ideal("x^2", "y^2", "z"),
               f"a:I = {_gb(J)}")
     corner = corner_power(I, 1, samples=2, rng=rng)
-    defn = bracket_power(a, 1).colon(ring.ideal("z^2"))
-    rep.check("I^<2> = (x^4,y^4):z^2", corner == defn,
-              f"I^<2> = {_gb(corner)}")
-    rep.check("xyz in I^<2>", corner.contains(ring.parse("x*y*z")),
-              f"I^<2> = {_gb(corner)}")
-    rep.check("xyz not in I", not I.contains(ring.parse("x*y*z")),
-              f"I = {_gb(I)}")
+    rep.check("I^<2> = (x^4,y^4):z^2",
+              corner == bracket_power(a, 1).colon(ring.ideal("z^2")), f"I^<2> = {_gb(corner)}")
+    xyz = ring.parse("x*y*z")
+    rep.check("xyz in I^<2>", corner.contains(xyz), f"I^<2> = {_gb(corner)}")
+    rep.check("xyz not in I", not I.contains(xyz), f"I = {_gb(I)}")
+    bracket = bracket_power(I, 1)
     rep.check("I^[2] strictly inside I^<2>",
-              corner.contains_ideal(bracket_power(I, 1))
-              and corner != bracket_power(I, 1),
-              f"I^[2] = {_gb(bracket_power(I, 1))}")
+              corner.contains_ideal(bracket) and corner != bracket,
+              f"I^[2] = {_gb(bracket)}")
 
 
 def _suite_corner_welldef(ring, params, rng, rep):
-    I = params.get("ideal") or Ideal(
-        ring, [v ** 2 for v in ring.maximal_ideal().gens])
+    I = params["ideal"] or _squares(ring)
     n = max(3, params["samples"])
-    for e in (1, 2):
-        q = frobenius_q(ring, e)
+    for e, q in _exponents(ring, 2):
         try:
-            corner = corner_power(I, e, samples=n, rng=rng)
-            rep.check(f"{n} corner candidates agree at q={q}", True,
-                      f"I^<{q}> = {_gb(corner)}")
+            ok, details = True, f"I^<{q}> = {_gb(corner_power(I, e, samples=n, rng=rng))}"
         except WellDefinednessViolation as exc:
-            rep.check(f"{n} corner candidates agree at q={q}", False, str(exc))
+            ok, details = False, str(exc)
+        rep.check(f"{n} corner candidates agree at q={q}", ok, details)
 
 
 def _suite_corner_containment(ring, params, rng, rep):
-    if params.get("ideal") is not None:
-        pool = [params["ideal"]]
-    else:
-        pool = _sample_unmixed(ring, 10, rng)
-    exponents = [e for e in (1, 2, 3) if e <= params["emax"]] or [1]
-    for i, I in enumerate(pool):
-        for e in exponents:
-            q = frobenius_q(ring, e)
+    m = ring.maximal_ideal()
+    exponents = _exponents(ring, max(1, params["emax"]))
+    for label, I in _fixtures(params, "ideal 0", lambda: _sample_unmixed(ring, 10, rng)):
+        for e, q in exponents:
             corner = corner_power(I, e, samples=1, rng=rng)
-            br = bracket_power(I, e)
-            rep.check(f"ideal {i}: I^[{q}] subset I^<{q}>",
-                      corner.contains_ideal(br),
+            rep.check(f"{label}: I^[{q}] subset I^<{q}>",
+                      corner.contains_ideal(bracket_power(I, e)),
                       f"I = {_gb(I)}; I^<{q}> = {_gb(corner)}")
     # equality on parameter ideals
     for k in range(3):
-        a = find_parameter_ideal(ring.maximal_ideal(), rng)
-        for e in exponents:
-            q = frobenius_q(ring, e)
+        a = find_parameter_ideal(m, rng)
+        for e, q in exponents:
             corner = corner_power(a, e, samples=1, rng=rng)
             rep.check(f"parameter {k}: a^<{q}> = a^[{q}]",
                       corner == bracket_power(a, e), f"a = {_gb(a)}")
     if ring.relation is not None and ring.poly.nvars == 3:
-        I = Ideal(ring, [v ** 2 for v in ring.maximal_ideal().gens])
+        I = _squares(ring)
         corner = corner_power(I, 1, samples=1, rng=rng)
+        bracket = bracket_power(I, 1)
         rep.check("strict containment at q=2 for (x^2,y^2,z^2)",
-                  corner != bracket_power(I, 1)
-                  and corner.contains_ideal(bracket_power(I, 1)),
+                  corner != bracket and corner.contains_ideal(bracket),
                   f"I^<2> = {_gb(corner)}")
 
 
 def _suite_essential(ring, params, rng, rep):
     tau = test_ideal(ring).tau
+    m = ring.maximal_ideal()
+    trivial = tau.is_unit()
     for k in range(5):
-        a = find_parameter_ideal(ring.maximal_ideal(), rng)
+        a = find_parameter_ideal(m, rng)
         star = star_colon(a, tau)
-        trivial = tau.is_unit()
         strictly = star.contains_ideal(a) and (star != a or trivial)
         rep.check(f"parameter {k}: a strictly inside a:tau"
                   + (" (tau unit: equality allowed)" if trivial else ""),
@@ -184,38 +209,28 @@ def _suite_essential(ring, params, rng, rep):
         back = a.colon(star)
         rep.check(f"parameter {k}: a:(a:tau) contains tau",
                   back.contains_ideal(tau), f"a:(a:tau) = {_gb(back)}")
-    I = params.get("ideal") or Ideal(
-        ring, [v ** 2 for v in ring.maximal_ideal().gens])
+    I = params["ideal"] or _squares(ring)
     colon = I.colon(tau)
-    for e in (1, 2, 3):
-        if e > params["emax"]:
-            continue
-        q = frobenius_q(ring, e)
-        lhs = bracket_power(colon, e)
+    for e, q in _exponents(ring, params["emax"]):
         rhs = corner_power(I, e, samples=1, rng=rng).colon(tau)
         rep.check(f"(I:tau)^[{q}] subset I^<{q}>:tau",
-                  rhs.contains_ideal(lhs), f"I = {_gb(I)}")
+                  rhs.contains_ideal(bracket_power(colon, e)), f"I = {_gb(I)}")
 
 
 def _suite_decr(ring, params, rng, rep):
     tau = test_ideal(ring).tau
-    m = ring.maximal_ideal()
-    targets = [("(x,y)", Ideal(ring, list(m.gens[:2]))),
-               ("m", m)]
-    if params.get("ideal") is not None:
-        targets = [("I", params["ideal"])]
-    for label, I in targets:
-        chain = [iq_approx(I, e, tau) for e in range(min(3, params["emax"]) + 1)]
-        for e in range(len(chain) - 1):
-            q, pq = frobenius_q(ring, e), frobenius_q(ring, e + 1)
+    levels = _exponents(ring, params["emax"], start=0)
+    for label, I in _fixtures(params, "I", lambda: [("(x,y)", _pair(ring)),
+                                                    ("m", ring.maximal_ideal())]):
+        chain = [iq_approx(I, e, tau) for e, _ in levels]
+        for (e, q), (_, pq) in zip(levels, levels[1:]):
             rep.check(f"{label}: I_{pq} subset I_{q}",
                       chain[e].contains_ideal(chain[e + 1]),
                       f"I_{q} = {_gb(chain[e])}; I_{pq} = {_gb(chain[e + 1])}")
-    a = Ideal(ring, list(m.gens[:2]))
+    a = _pair(ring)
     if a.height() == len(a.minimal_generators()):
         star = star_colon(a, tau)
-        for e in range(min(3, params["emax"]) + 1):
-            q = frobenius_q(ring, e)
+        for e, q in levels:
             iq = iq_approx(a, e, tau)
             rep.check(f"parameter (x,y): a:tau subset a_{q}",
                       iq.contains_ideal(star), f"a_{q} = {_gb(iq)}")
@@ -224,32 +239,23 @@ def _suite_decr(ring, params, rng, rep):
 def _suite_higher(ring, params, rng, rep):
     tau = test_ideal(ring).tau
     m = ring.maximal_ideal()
-    containing = [("m", m)]
-    if not tau.is_unit() and tau != m:
-        containing.append(("tau", tau))
-    containing = [(label, I) for label, I in containing
+    containing = [(label, I) for label, I in _containing_tau(m, tau)
                   if I.contains_ideal(tau)]
     if not containing:
         rep.skip("ideals containing tau keep corners above tau",
                  "no proper ideal contains tau (tau is the unit ideal)")
     for label, I in containing:
-        for e in (1, 2, 3):
-            if e > params["emax"]:
-                continue
-            q = frobenius_q(ring, e)
+        for e, q in _exponents(ring, params["emax"]):
             corner = corner_power(I, e, samples=1, rng=rng)
             rep.check(f"{label} contains tau: {label}^<{q}> contains tau",
                       corner.contains_ideal(tau),
                       f"{label}^<{q}> = {_gb(corner)}")
-    if tau.is_unit():
-        rep.skip("strict I inside tau shrinks", "tau is the unit ideal")
+    I = _pair(ring)
+    if tau.is_unit() or not tau.contains_ideal(I) or I == tau:
+        rep.skip("strict I inside tau shrinks", "tau is the unit ideal" if tau.is_unit()
+                 else "no strict sub-tau fixture")
         return
-    I = Ideal(ring, list(m.gens[:2]))
-    if not tau.contains_ideal(I) or I == tau:
-        rep.skip("strict I inside tau shrinks", "no strict sub-tau fixture")
-        return
-    e = min(3, params["emax"])
-    q = frobenius_q(ring, e)
+    e, q = _exponents(ring, params["emax"], start=0)[-1]
     corner = corner_power(I, e, samples=1, rng=rng)
     k = 0
     while k + 1 <= e and bracket_power(m, k + 1).contains_ideal(corner):
@@ -260,21 +266,15 @@ def _suite_higher(ring, params, rng, rep):
 
 
 def _suite_hk_identity(ring, params, rng, rep):
-    fixtures = [("m", ring.maximal_ideal())]
-    if ring.poly.nvars == 3:
-        fixtures.append(("(x^2,y^2,z)", ring.ideal("x^2", "y^2", "z")))
-    if params.get("ideal") is not None:
-        fixtures = [("J", params["ideal"])]
+    fixtures = _fixtures(params, "J", lambda: [("m", ring.maximal_ideal())] + (
+        [("(x^2,y^2,z)", ring.ideal("x^2", "y^2", "z"))] if ring.poly.nvars == 3 else []))
     for label, J in fixtures:
         for e in (1, 2):
             for s in range(params["samples"]):
-                sub = random.Random(rng.randrange(2 ** 30))
-                res = corner_length_identity(J, e, sub)
-                rep.check(
-                    f"{label}, q={frobenius_q(ring, e)}, sample {s}: "
-                    f"l(R/J^<q>) = l(R/a^[q]) - l(R/I^[q])",
-                    res.equal,
-                    f"lhs={res.lhs} rhs={res.rhs} a = {_gb(res.linking)}")
+                res = corner_length_identity(J, e, random.Random(rng.randrange(2 ** 30)))
+                rep.check(f"{label}, q={frobenius_q(ring, e)}, sample {s}: "
+                          f"l(R/J^<q>) = l(R/a^[q]) - l(R/I^[q])", res.equal,
+                          f"lhs={res.lhs} rhs={res.rhs} a = {_gb(res.linking)}")
 
 
 def _suite_mapping_cone(ring, params, rng, rep):
@@ -287,21 +287,17 @@ def _suite_mapping_cone(ring, params, rng, rep):
         except AlgebraError as exc:
             rep.check(f"pair {k}: delta exists", False, str(exc))
             continue
-        with_delta = a + Ideal(ring, [delta])
-        ok1 = with_delta == a.colon(b)
-        ok2 = a.colon(Ideal(ring, [delta])) == b
-        rep.check(f"pair {k}: a:b = (a, delta)", ok1,
+        rep.check(f"pair {k}: a:b = (a, delta)", a + Ideal(ring, [delta]) == a.colon(b),
                   f"a = {_gb(a)}; b = {_gb(b)}; delta = {delta}")
-        rep.check(f"pair {k}: a:delta = b", ok2, f"delta = {delta}")
-        I = m
-        mixed = a + Ideal(ring, [delta * g for g in I.gens])
+        rep.check(f"pair {k}: a:delta = b", a.colon(Ideal(ring, [delta])) == b,
+                  f"delta = {delta}")
+        mixed = a + Ideal(ring, [delta * g for g in m.gens])
         rep.check(f"pair {k}: (a, delta*I) unmixed for I = m",
                   is_unmixed(mixed, rng), f"(a, delta I) = {_gb(mixed)}")
 
 
 def _suite_case1(ring, params, rng, rep):
     m = ring.maximal_ideal()
-    fixtures = []
     for k in range(5):
         I = m if k % 2 == 0 else unmixed_part(
             find_parameter_ideal(m, rng)
@@ -310,13 +306,9 @@ def _suite_case1(ring, params, rng, rep):
             I = m
         b = find_parameter_ideal(I, rng)
         a = find_parameter_ideal(b, rng, min_bump=1)
-        fixtures.append((I, b, a))
-    for k, (I, b, a) in enumerate(fixtures):
         lhs = a.colon(b.colon(I))
-        rhs = a + I * a.colon(b)
-        rep.check(f"triple {k}: a:(b:I) = a + I(a:b)", lhs == rhs,
-                  f"a = {_gb(a)}; b = {_gb(b)}; I = {_gb(I)}; "
-                  f"lhs = {_gb(lhs)}")
+        rep.check(f"triple {k}: a:(b:I) = a + I(a:b)", lhs == a + I * a.colon(b),
+                  f"a = {_gb(a)}; b = {_gb(b)}; I = {_gb(I)}; lhs = {_gb(lhs)}")
 
 
 def _suite_linkage_lift(ring, params, rng, rep):
@@ -324,19 +316,17 @@ def _suite_linkage_lift(ring, params, rng, rep):
         rep.skip("non-m-primary chains", "ring dimension below 2")
         return
     g = ring.maximal_ideal().gens
-    seeds = [g[0] + g[1], g[0], g[1] + g[-1]]
-    for k, gen in enumerate(seeds[:3]):
+    for k, gen in enumerate([g[0] + g[1], g[0], g[1] + g[-1]]):
         I = Ideal(ring, [gen])
         if I.is_zero() or I.is_unit():
             rep.skip(f"chain {k}", f"degenerate seed {gen}")
             continue
         I = unmixed_part(I, rng)
-        chain = []
-        J = I  # the end of the chain
+        chain, J = [], I  # J is the end of the chain
         for _ in range(min(2, params["depth"])):
             try:
                 J, a = direct_link(J, rng=rng, check_unmixed=False)
-            except (ParameterSearchFailed, AlgebraError) as exc:
+            except AlgebraError as exc:
                 rep.skip(f"chain {k}: extend", str(exc))
                 break
             chain.append(a)
@@ -348,26 +338,22 @@ def _suite_linkage_lift(ring, params, rng, rep):
             except AlgebraError as exc:
                 rep.check(f"chain {k}, t={t}: J_t exists", False, str(exc))
                 continue
-            rep.check(f"chain {k}, t={t}: J subset J_t",
-                      Jt.contains_ideal(J),
+            rep.check(f"chain {k}, t={t}: J subset J_t", Jt.contains_ideal(J),
                       f"I = {_gb(I)}; J = {_gb(J)}; J_t = {_gb(Jt)}")
 
 
 def _suite_main_theorem(ring, params, rng, rep):
     tau = test_ideal(ring).tau
-    m = ring.maximal_ideal()
-    fixtures = []
-    if ring.poly.nvars >= 2:
-        fixtures.append(("(x,y)", Ideal(ring, list(m.gens[:2]))))
-    if ring.poly.nvars == 3:
-        fixtures.append(("(x^2,y^2,z^2)",
-                         Ideal(ring, [v ** 2 for v in m.gens])))
-    fixtures.append(("m", m))
-    if params.get("ideal") is not None:
-        fixtures = [("I", params["ideal"])]
-    for label, I in fixtures:
-        tilde, record = tilde_approx(I, min(2, params["depth"]),
-                                     params["samples"], rng)
+
+    def default():
+        if ring.poly.nvars >= 2:
+            yield "(x,y)", _pair(ring)
+        if ring.poly.nvars == 3:
+            yield "(x^2,y^2,z^2)", _squares(ring)
+        yield "m", ring.maximal_ideal()
+
+    for label, I in _fixtures(params, "I", default):
+        tilde, record = _tilde(I, params, rng)
         colon = I.colon(tau)
         approx = star_approx(I, params["emax"])
         product = tilde * colon
@@ -380,24 +366,18 @@ def _suite_main_theorem(ring, params, rng, rep):
                       approx.lower.contains_ideal(product),
                       f"I^* = {_gb(approx.lower)}")
         if I.contains_ideal(tau):
-            all_inside = all(I.contains_ideal(node) for node in record.nodes)
             rep.check(f"{label} contains tau: every explored link inside it",
-                      all_inside,
+                      all(I.contains_ideal(node) for node in record.nodes),
                       f"nodes = {[ _gb(n) for n in record.nodes ]}")
 
 
 def _suite_max_in_class(ring, params, rng, rep):
     tau = test_ideal(ring).tau
-    m = ring.maximal_ideal()
-    candidates = [("m", m)]
-    if not tau.is_unit() and tau != m:
-        candidates.append(("tau", tau))
-    for label, I in candidates:
+    for label, I in _containing_tau(ring.maximal_ideal(), tau):
         if not I.contains_ideal(tau):
             rep.skip(f"{label} maximal", "does not contain tau")
             continue
-        tilde, record = tilde_approx(I, min(2, params["depth"]),
-                                     params["samples"], rng)
+        tilde, record = _tilde(I, params, rng)
         inside = all(I.contains_ideal(node) for node in record.nodes)
         rep.check(f"{label}: every explored link inside {label}", inside,
                   f"{len(record.nodes)} nodes explored")
@@ -407,17 +387,13 @@ def _suite_max_in_class(ring, params, rng, rep):
 
 def _suite_lit(ring, params, rng, rep):
     tau = test_ideal(ring).tau
-    if tau.is_unit():
-        rep.skip("tilde(tau)*tau = tau^2", "tau is the unit ideal")
+    if tau.is_unit() or not is_unmixed(tau, rng) or not is_unmixed(tau * tau, rng):
+        rep.skip("tilde(tau)*tau = tau^2", "tau is the unit ideal" if tau.is_unit()
+                 else "tau or tau^2 not unmixed")
         return
-    if not is_unmixed(tau, rng) or not is_unmixed(tau * tau, rng):
-        rep.skip("tilde(tau)*tau = tau^2", "tau or tau^2 not unmixed")
-        return
-    tilde, record = tilde_approx(tau, min(2, params["depth"]),
-                                 params["samples"], rng)
-    lhs = tilde * tau
+    tilde, record = _tilde(tau, params, rng)
     rhs = tau * tau
-    rep.check("tilde(tau)*tau = tau^2", lhs == rhs,
+    rep.check("tilde(tau)*tau = tau^2", tilde * tau == rhs,
               f"tilde = {_gb(tilde)}; tau^2 = {_gb(rhs)}; "
               f"capped = {record.capped}")
 
@@ -449,10 +425,7 @@ def verify_suite(name: str, params: dict | None = None) -> dict:
     suite, takes_ideal = _SUITES[name]
     params = dict(params or {})
     seed = int(params.pop("seed", 0))
-    ring = params.pop("ring", None)
-    p = params.pop("p", None)
-    variables = params.pop("vars", None)
-    mod = params.pop("mod", None)
+    ring, p, variables, mod = (params.pop(key, None) for key in ("ring", "p", "vars", "mod"))
     if ring is not None and (p, variables, mod) != (None, None, None):
         raise AlgebraError("--ring takes no --p, --vars or --mod")
     if p is None and (variables, mod) != (None, None):
@@ -464,26 +437,17 @@ def verify_suite(name: str, params: dict | None = None) -> dict:
     ideal_text = params.pop("ideal", None)
     if ideal_text and not takes_ideal:
         raise AlgebraError(f"suite {name!r} takes no --ideal")
-    merged = dict(DEFAULTS)
-    for key in DEFAULTS:
-        if params.get(key) is not None:
-            merged[key] = int(params[key])
-        if merged[key] < 0:
-            raise AlgebraError(f"{key} must be non-negative, got {merged[key]}")
-    if ideal_text:
-        merged["ideal"] = Ideal(ring, [ring.parse(g)
-                                       for g in ideal_text.split(",")])
-    else:
-        merged["ideal"] = None
-    public_params = {
-        "ring": {"p": ring.field.p, "vars": list(ring.poly.variables),
-                 "mod": str(ring.relation) if ring.relation is not None else None},
-        "ideal": ideal_text,
-        **{k: merged[k] for k in DEFAULTS},
-    }
+    merged = {key: int(DEFAULTS[key] if params.get(key) is None else params[key])
+              for key in DEFAULTS}
+    for key, value in merged.items():
+        if value < 0:
+            raise AlgebraError(f"{key} must be non-negative, got {value}")
+    relation = None if ring.relation is None else str(ring.relation)
+    public_params = {"ring": {"p": ring.field.p, "vars": list(ring.variables), "mod": relation},
+                     "ideal": ideal_text, **merged}
+    merged["ideal"] = ring.ideal(*ideal_text.split(",")) if ideal_text else None
     rep = _Report(name, public_params, seed)
-    rng = random.Random(seed)
-    suite(ring, merged, rng, rep)
+    suite(ring, merged, random.Random(seed), rep)
     return rep.done()
 
 

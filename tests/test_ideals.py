@@ -467,7 +467,7 @@ class TestRationalZeroCertificate:
                 out += [b.gens, tuple(extend(b, rng))]
                 # every candidate inside (x) has height 1, so this search
                 # exhausts its tries
-                return out + [_outcome(lambda r: find(x, r, max_tries=5, height=ring.dim), rng)]
+                return out + [_outcome(lambda r: find(x, r, height=ring.dim), rng)]
             return run
 
         for seed in range(20):
@@ -497,7 +497,7 @@ class TestRationalZeroCertificate:
         I.gb
         buchberger_runs.clear()
         with pytest.raises(ParameterSearchFailed):
-            find_parameter_ideal(I, random.Random(0), max_tries=5, height=ring.dim)
+            find_parameter_ideal(I, random.Random(0), height=ring.dim)
         assert buchberger_runs == []
 
     def test_shared_zero_starts_no_buchberger_in_extension(self, buchberger_runs,
@@ -510,7 +510,7 @@ class TestRationalZeroCertificate:
         monkeypatch.setattr(rings, "_random_homogeneous",
                             lambda poly, degree, rng: poly.parse("z"))
         with pytest.raises(ParameterSearchFailed):
-            extend_to_m_primary(b, random.Random(0), max_tries=5)
+            extend_to_m_primary(b, random.Random(0))
         assert buchberger_runs == []
 
 

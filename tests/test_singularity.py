@@ -61,6 +61,18 @@ class TestTestIdeal:
             assert later.contains_ideal(earlier)
         assert chain[-1] == chain[-2]
 
+    def test_chain_keeps_each_entry(self, fermat2, monkeypatch):
+        # x lies in tau = m, so it is a test element; the root of f * x is
+        # (x^2, y, z), which misses x, so the chain (x) -> m -> m ascends
+        # only because J_(k+1) keeps the generators of J_k
+        monkeypatch.setattr(singularity, "test_element",
+                            lambda ring: singularity.TestElementCertificate(ring.parse("x"), ring))
+        result = compute_test_ideal(fermat2)
+        assert result.chain[0] == fermat2.ideal("x")
+        for earlier, later in zip(result.chain, result.chain[1:]):
+            assert later.contains_ideal(earlier)
+        assert result.tau == fermat2.maximal_ideal()
+
     def test_chain_roots_once_per_scalar_class(self, monkeypatch):
         # at p = 23 the chain roots f^22 times a basis of J_k: 276 and then
         # 828 raw roots, of which at most 9 differ by more than a scalar

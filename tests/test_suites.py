@@ -24,10 +24,13 @@ class TestPlumbing:
             verify_suite("nope")
 
     def test_builtin_rings(self):
-        assert set(BUILTIN_RINGS) == {"fermat2", "poly2_2", "poly2_3"}
+        assert set(BUILTIN_RINGS) == {"fermat2", "fermat5", "poly2_2", "poly2_3", "quartic3"}
         ring = make_ring("fermat2")
         assert ring.field.p == 2 and ring.relation is not None
         assert make_ring("poly2_3").relation is None
+        for name, p, mod in [("fermat5", 5, "x^3+y^3+z^3"), ("quartic3", 3, "x^4+y^4+z^4")]:
+            ring = make_ring(name)
+            assert ring.field.p == p and ring.relation == ring.parse(mod)
 
     def test_report_shape(self):
         report = verify_suite("paper-example", {"seed": 1})
