@@ -610,7 +610,8 @@ def unmixed_part(I: Ideal, rng: random.Random | None = None) -> Ideal:
     before returning.  A draw equal to an earlier one (for a principal I
     every draw is I itself) reuses its result.
     """
-    rng = rng or random.Random(0xA11CE)
+    if rng is None:
+        rng = random.Random(0xA11CE)
     if I.is_unit():
         raise UnitIdeal("unmixed part of the unit ideal is undefined")
     results = {}

@@ -26,12 +26,11 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("make_golden", ROOT / "scripts" / "make_golden.py")
 make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
-GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 def _test_id(directory: Path, suite: str) -> str:
     """``suite`` prefixed by the directory's path below tests/golden."""
-    return "-".join(directory.relative_to(GOLDEN_DIR).parts + (suite,))
+    return "-".join(directory.relative_to(make_golden._DIR).parts + (suite,))
 
 
 @pytest.mark.parametrize("directory, ring, seed, params, suite", [
