@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cache, total_ordering
+from functools import cache
 from operator import add, mul
 
 MAX_PRIME = 65521
@@ -269,7 +269,6 @@ class PolyRing:
         return parse_polynomial(text, self)
 
 
-@total_ordering
 class Polynomial:
     """An element of a PolyRing, canonically stored.
 
@@ -442,11 +441,6 @@ class Polynomial:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __lt__(self, other):
-        # canonical comparison used only for deterministic sorting
-        other = self._check(other)
-        return self.canonical_terms() < other.canonical_terms()
-
     def __hash__(self):
         return hash((self.ring, self.canonical_terms()))
 
@@ -516,7 +510,7 @@ def _token_error(text: str):
 _SIGNS = re.compile(r"([-+])")
 
 
-def parse_polynomial(text: str, ring) -> Polynomial:
+def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse `poly := ['+'|'-'] term (('+'|'-') term)*` over the given ring.
 
     `term := coeff? ('*'? var ('^' nat)?)*` with integer coefficients
@@ -531,9 +525,8 @@ def parse_polynomial(text: str, ring) -> Polynomial:
     error: every error first asks ``_token_error``, so a stray character
     anywhere in the text wins over a parse error.
     """
-    pring = ring if isinstance(ring, PolyRing) else ring.poly  # or a RingContext
-    memo = pring._terms
-    p = pring.field.p
+    memo = ring._terms
+    p = ring.field.p
     pieces = _SIGNS.split(text)
     # a leading sign: no token stands before it
     first = 2 if len(pieces) > 1 and (not pieces[0] or pieces[0].isspace()) else 0
@@ -543,14 +536,14 @@ def parse_polynomial(text: str, ring) -> Polynomial:
         term = memo.get(piece)
         if term is None:
             try:
-                (term,) = _scan(piece, pring)
+                (term,) = _scan(piece, ring)
             except AlgebraError:
-                return pring.from_terms(_scan(text, pring))
+                return ring.from_terms(_scan(text, ring))
             memo[piece] = term
         if k and pieces[k - 1] == "-":
             term = term[0], (p - term[1]) % p
         terms.append(term)
-    return pring.from_terms(terms)
+    return ring.from_terms(terms)
 
 
 def _scan(text: str, pring: PolyRing) -> list:

@@ -57,15 +57,12 @@ class CornerLengthIdentity:
     linked: Ideal
 
 
-def corner_length_identity(J: Ideal, e: int,
-                           rng: random.Random | None = None) -> CornerLengthIdentity:
+def corner_length_identity(J: Ideal, e: int, rng: random.Random) -> CornerLengthIdentity:
     """l(R/J^<q>) versus l(R/a^[q]) - l(R/I^[q]) for a sampled parameter
     ideal a inside J and I = a : J.  Both sides and the verdict are returned.
     """
     if not J.is_m_primary():
         raise NotMPrimary("corner length identity needs an m-primary ideal")
-    if rng is None:
-        rng = random.Random(0xC0FE)
     a = find_parameter_ideal(J, rng)
     I = a.colon(J)
     corner = bracket_power(a, e).colon(bracket_power(I, e))

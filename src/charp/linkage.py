@@ -49,16 +49,14 @@ class LinkageRecord:
     capped: bool = False
 
 
-def direct_link(I: Ideal, a: Ideal | None = None,
-                rng: random.Random | None = None, check_unmixed: bool = True):
+def direct_link(I: Ideal, a: Ideal | None = None, *, rng: random.Random,
+                check_unmixed: bool = True):
     """One direct link: J = a : I with the double link a : J = I verified.
 
     ``a`` is sampled via find_parameter_ideal when not given; the degenerate
     link J = (1) (a = I) is rejected by resampling with a degree bump.
     Returns (J, a).
     """
-    if rng is None:
-        rng = random.Random(0x11A15E)
     if check_unmixed and not is_unmixed(I, rng):
         raise NotUnmixed(f"{I!r} is not unmixed")
     g = I.height()
@@ -137,16 +135,13 @@ def link_delta(a: Ideal, b: Ideal) -> Polynomial:
     return delta.monic()
 
 
-def corner_power(I: Ideal, e: int, samples: int = 2,
-                 rng: random.Random | None = None) -> Ideal:
+def corner_power(I: Ideal, e: int, samples: int = 2, *, rng: random.Random) -> Ideal:
     """I^<q> = a^[q] : J^[q] with J = a : I, cross-checked over ``samples``
     independently sampled parameter ideals a.
 
     Disagreement between samples raises WellDefinednessViolation (an
     implementation bug or non-unmixed input).
     """
-    if rng is None:
-        rng = random.Random(0xC02E2)
     q = frobenius_q(I.ring, e)
     candidates = []
     for _ in range(max(1, samples)):
@@ -162,15 +157,13 @@ def corner_power(I: Ideal, e: int, samples: int = 2,
     return value
 
 
-def tilde_approx(I: Ideal, depth: int = 2, samples_per_node: int = 3,
-                 rng: random.Random | None = None):
+def tilde_approx(I: Ideal, depth: int = 2, samples_per_node: int = 3, *,
+                 rng: random.Random):
     """Bounded breadth-first linkage exploration from I.
 
     Returns (sum of all discovered node ideals, LinkageRecord).  The sum is
     a certified lower bound for the sum of the full linkage class.
     """
-    if rng is None:
-        rng = random.Random(0x71DE)
     record = LinkageRecord(nodes=[I])
     seen = {I.key()}
     frontier = [I]
@@ -194,8 +187,7 @@ def tilde_approx(I: Ideal, depth: int = 2, samples_per_node: int = 3,
     return Ideal(I.ring, [g for node in record.nodes for g in node.gens]), record
 
 
-def m_primary_link_lift(I: Ideal, chain, t: int,
-                        rng: random.Random | None = None):
+def m_primary_link_lift(I: Ideal, chain, t: int, rng: random.Random):
     """J_t = (a_n, x^t) : (... ((a_1, x^t) : (I, x^t))) for a linkage chain
     a_1..a_n from I, where x is a system of parameters modulo a common
     parameter ideal b inside the intersection of the a_i.
@@ -204,8 +196,6 @@ def m_primary_link_lift(I: Ideal, chain, t: int,
     J = a_n : (... (a_1 : I)), the untruncated end of the chain, is left to
     the caller, which holds J already (the ``linkage-lift`` suite checks it).
     """
-    if rng is None:
-        rng = random.Random(0x117F7)
     chain = list(chain)
     if not chain:
         raise AlgebraError("need a nonempty linkage chain")

@@ -11,9 +11,8 @@ and approximation I_q is {u : u^q * B in A} for some A, B and q.  A unit A
 gives (1) at once.  Otherwise it tries, in order, the linear-algebra kernel
 ``quotient.frobenius_colon`` (B homogeneous, A's lift homogeneous of finite
 colength); A itself as A : B when B holds a nonzero constant; elimination
-(``_colon_gens``) for K = A : B; and for q > 1 then {u : u^q in K}, by the
-kernel again when K qualifies, else by elimination
-(``_preimage_by_elimination``).
+(``_colon_gens``) for K = A : B; and for q > 1 then {u : u^q in K} by
+elimination (``_preimage_by_elimination``).
 
 Membership and reduction read a table of monomial normal forms kept on each
 Ideal.  Modulo a Groebner basis G every f has one normal form NF(f), the
@@ -232,8 +231,6 @@ class Ideal:
         self.ring = ring
         checked = []
         for g in gens:
-            if isinstance(g, str):
-                g = ring.parse(g)
             if g.ring != ring.poly:
                 raise RingMismatch("generator from a different ring")
             if not g.is_zero():
@@ -283,10 +280,8 @@ class Ideal:
 
     # -- predicates -----------------------------------------------------------
 
-    def contains(self, f) -> bool:
-        """f in I, for a Polynomial or its text: ``reduce(f)`` is zero."""
-        if isinstance(f, str):
-            f = self.ring.parse(f)
+    def contains(self, f: Polynomial) -> bool:
+        """f in I: ``reduce(f)`` is zero."""
         if f.ring != self.ring.poly:
             raise RingMismatch("element from a different ring")
         return self.reduce(f).is_zero()
@@ -405,9 +400,6 @@ def twisted_colon(A: Ideal, divisors, q: int = 1) -> Ideal:
         K = _colon_gens(A.lift_gens(), list(divisors), ring)
     if q == 1:
         return _with_reduced_gb(A.ring, K)
-    quotient = zero_dimensional_quotient(K, ring)
-    if quotient is not None:
-        return _with_reduced_gb(A.ring, frobenius_colon(quotient, [ring.one()], q))
     return Ideal(A.ring, _preimage_by_elimination(K, q, ring))
 
 
@@ -602,7 +594,7 @@ def extend_to_m_primary(b: Ideal, rng: random.Random):
     return extras
 
 
-def unmixed_part(I: Ideal, rng: random.Random | None = None) -> Ideal:
+def unmixed_part(I: Ideal, rng: random.Random) -> Ideal:
     """a : (a : I) for a sampled parameter ideal a in I of the same height.
 
     The value is independent of the choice of a; ``_UNMIXED_SAMPLES``
@@ -610,8 +602,6 @@ def unmixed_part(I: Ideal, rng: random.Random | None = None) -> Ideal:
     before returning.  A draw equal to an earlier one (for a principal I
     every draw is I itself) reuses its result.
     """
-    if rng is None:
-        rng = random.Random(0xA11CE)
     if I.is_unit():
         raise UnitIdeal("unmixed part of the unit ideal is undefined")
     results = {}
@@ -625,7 +615,7 @@ def unmixed_part(I: Ideal, rng: random.Random | None = None) -> Ideal:
     return first
 
 
-def is_unmixed(I: Ideal, rng: random.Random | None = None) -> bool:
+def is_unmixed(I: Ideal, rng: random.Random) -> bool:
     """True iff all associated primes of I have height ht(I)."""
     if I.is_m_primary():
         return True

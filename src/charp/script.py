@@ -94,12 +94,14 @@ _OPERATIONS = {
         "bracket": ((IDEAL, POWER), (), lambda run, A, e: bracket_power(A, e)),
         "corner": ((IDEAL, POWER), (),
                    lambda run, A, e: corner_power(A, e, samples=2, rng=run.rng)),
-        "link": ((IDEAL, IDEAL), (None,), lambda run, A, a: direct_link(A, a, run.rng)[0]),
+        "link": ((IDEAL, IDEAL), (None,),
+                 lambda run, A, a: direct_link(A, a, rng=run.rng)[0]),
         "star_colon": ((IDEAL,), (), lambda run, A: star_colon(A)),
         "iq": ((IDEAL, INTEGER), (), lambda run, A, e: iq_approx(A, e)),
         "tau": ((), (), lambda run: test_ideal(run.ring).tau),
         "tilde": ((IDEAL, INTEGER, INTEGER), (2, 3),
-                  lambda run, A, depth, samples: tilde_approx(A, depth, samples, run.rng)[0]),
+                  lambda run, A, depth, samples:
+                  tilde_approx(A, depth, samples, rng=run.rng)[0]),
     },
     "assertion": {
         "equal": ((IDEAL, IDEAL), (), lambda run, A, B: A == B),

@@ -13,7 +13,9 @@ nonincreasing upper approximations and the certified non-membership check
 never claim exact tight closure unless both bounds meet.  Each I_q is one
 call of the colon engine ``rings.twisted_colon``: its linear-algebra kernel
 when tau I^[q] has a homogeneous lift of finite colength, elimination
-otherwise.
+otherwise.  tau and the test element c are invariants of the ring, not of
+the call: every bound reads tau from ``test_ideal``, which caches it on the
+ring, and the non-membership check takes c from ``test_element``.
 """
 
 from __future__ import annotations
@@ -115,15 +117,13 @@ def _test_ideal_chain(ring: RingContext) -> TestIdealResult:
     return TestIdealResult(Ideal(ring, current.gb), tuple(chain), stable_at)
 
 
-def star_colon(I: Ideal, tau: Ideal | None = None) -> Ideal:
+def star_colon(I: Ideal) -> Ideal:
     """I : tau.  Equals I^* exactly when I has finite projective dimension
     (e.g. parameter ideals); an upper bound for I^* in general."""
-    if tau is None:
-        tau = test_ideal(I.ring).tau
-    return I.colon(tau)
+    return I.colon(test_ideal(I.ring).tau)
 
 
-def iq_approx(I: Ideal, e: int, tau: Ideal | None = None) -> Ideal:
+def iq_approx(I: Ideal, e: int) -> Ideal:
     """I_q = {u : u^q tau in tau I^[q]}, the q-th upper approximation.
 
     With A = tau I^[q], I_q = {u : u^q t in A for each generator t of tau},
@@ -133,8 +133,7 @@ def iq_approx(I: Ideal, e: int, tau: Ideal | None = None) -> Ideal:
     degrees q deg u + deg t alone; otherwise it is the Frobenius preimage
     of the colon A : tau.
     """
-    if tau is None:
-        tau = test_ideal(I.ring).tau
+    tau = test_ideal(I.ring).tau
     return twisted_colon(tau * bracket_power(I, e), tau.gens, frobenius_q(I.ring, e))
 
 
@@ -148,19 +147,17 @@ class StarCertificate:
         return self.status == "not_in_star"
 
 
-def certify_not_in_star(x, I: Ideal,
-                        c: TestElementCertificate | None = None,
-                        e_max: int = 3) -> StarCertificate:
+def certify_not_in_star(x, I: Ideal, e_max: int = 3) -> StarCertificate:
     """Sound non-membership in I^*: if c x^q lies outside I^[q] for some
-    q = p^e with e <= e_max, then x is not in I^*.  Never claims membership.
+    q = p^e with e <= e_max, c the ring's ``test_element``, then x is not
+    in I^*.  Never claims membership.
     """
     if isinstance(x, str):
         x = I.ring.parse(x)
-    if c is None:
-        c = test_element(I.ring)
+    c = test_element(I.ring).c
     for e in range(e_max + 1):
         q = frobenius_q(I.ring, e)
-        if not bracket_power(I, e).contains(c.c * x ** q):
+        if not bracket_power(I, e).contains(c * x ** q):
             return StarCertificate("not_in_star", e)
     return StarCertificate("inconclusive")
 
@@ -169,8 +166,6 @@ def certify_not_in_star(x, I: Ideal,
 class StarApproxReport:
     lower: Ideal
     upper: Ideal
-    chain: tuple
-    m_primary: bool
 
     @property
     def certified(self) -> bool:
@@ -181,13 +176,12 @@ def star_approx(I: Ideal, e_max: int = 3) -> StarApproxReport:
     """Two-sided bounds on I^*: upper = I_(p^e_max), lower = I, improved to
     I : tau when I is a complete intersection (finite projective dimension).
     """
-    tau = test_ideal(I.ring).tau
-    chain = [iq_approx(I, e, tau) for e in range(e_max + 1)]
+    upper = iq_approx(I, e_max)
     lower = I
     try:
         if not I.is_unit() and not I.is_zero() \
                 and len(I.minimal_generators()) == I.height():
-            lower = star_colon(I, tau)
+            lower = star_colon(I)
     except AlgebraError:
         pass
-    return StarApproxReport(lower, chain[e_max], tuple(chain), I.is_m_primary())
+    return StarApproxReport(lower, upper)

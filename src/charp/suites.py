@@ -117,7 +117,7 @@ def _containing_tau(m: Ideal, tau: Ideal) -> list:
 
 def _tilde(I: Ideal, params: dict, rng: random.Random):
     """tilde(I) and its record, explored to depth at most 2."""
-    return tilde_approx(I, min(2, params["depth"]), params["samples"], rng)
+    return tilde_approx(I, min(2, params["depth"]), params["samples"], rng=rng)
 
 
 def _sample_unmixed(ring: RingContext, count: int, rng: random.Random):
@@ -201,7 +201,7 @@ def _suite_essential(ring, params, rng, rep):
     trivial = tau.is_unit()
     for k in range(5):
         a = find_parameter_ideal(m, rng)
-        star = star_colon(a, tau)
+        star = star_colon(a)
         strictly = star.contains_ideal(a) and (star != a or trivial)
         rep.check(f"parameter {k}: a strictly inside a:tau"
                   + (" (tau unit: equality allowed)" if trivial else ""),
@@ -218,20 +218,20 @@ def _suite_essential(ring, params, rng, rep):
 
 
 def _suite_decr(ring, params, rng, rep):
-    tau = test_ideal(ring).tau
     levels = _exponents(ring, params["emax"], start=0)
+    chains = {}  # label -> [I_q for (e, q) in levels]
     for label, I in _fixtures(params, "I", lambda: [("(x,y)", _pair(ring)),
                                                     ("m", ring.maximal_ideal())]):
-        chain = [iq_approx(I, e, tau) for e, _ in levels]
+        chain = chains[label] = [iq_approx(I, e) for e, _ in levels]
         for (e, q), (_, pq) in zip(levels, levels[1:]):
             rep.check(f"{label}: I_{pq} subset I_{q}",
                       chain[e].contains_ideal(chain[e + 1]),
                       f"I_{q} = {_gb(chain[e])}; I_{pq} = {_gb(chain[e + 1])}")
     a = _pair(ring)
     if a.height() == len(a.minimal_generators()):
-        star = star_colon(a, tau)
-        for e, q in levels:
-            iq = iq_approx(a, e, tau)
+        star = star_colon(a)
+        chain = chains.get("(x,y)") or [iq_approx(a, e) for e, _ in levels]
+        for (e, q), iq in zip(levels, chain):
             rep.check(f"parameter (x,y): a:tau subset a_{q}",
                       iq.contains_ideal(star), f"a_{q} = {_gb(iq)}")
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from charp import groebner, quotient as quotient_module, rings, singularity
 from charp.core import AlgebraError, PolyRing, Polynomial
-from charp.frobenius import bracket_power
+from charp.frobenius import bracket_power, frobenius_preimage
 from charp.groebner import INFINITE, buchberger, colength
 from charp.quotient import frobenius_colon, zero_dimensional_quotient
 from charp.rings import (
@@ -819,19 +819,46 @@ class TestIqDispatch:
 
     @pytest.fixture
     def tau(self, fermat2):
-        # the test ideal's own chain runs before the spies are in place
+        # the test ideal's own chain runs, and is cached on the ring, before
+        # the spies are in place
         return singularity.test_ideal(fermat2).tau
 
     def test_m_primary_takes_one_kernel(self, fermat2, tau, paths):
-        Iq = singularity.iq_approx(fermat2.maximal_ideal(), 2, tau)
+        Iq = singularity.iq_approx(fermat2.maximal_ideal(), 2)
         assert paths == ["frobenius_colon"]
         assert Iq == fermat2.maximal_ideal()
 
     def test_non_m_primary_takes_colon_then_preimage(self, fermat2, tau, paths):
         I = fermat2.ideal("x")
-        Iq = singularity.iq_approx(I, 2, tau)
+        Iq = singularity.iq_approx(I, 2)
         assert paths == ["_colon_gens", "_preimage_by_elimination"]
         assert Iq.contains_ideal(I)
+
+
+class TestPreimageDispatch:
+    """At q > 1 the K = A : B of the elimination colon goes to the
+    elimination preimage, even when K is homogeneous of finite colength:
+    with the unit 1 + x of R/A as divisor, K = A."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        taken = []
+        for name in ("frobenius_colon", "_colon_gens", "_preimage_by_elimination"):
+            _spy(monkeypatch, taken, rings, name)
+        return taken
+
+    @pytest.mark.parametrize("p, relation, gens, e", [
+        (2, "x^3+y^3+z^3", ("x^2", "y^2", "z"), 1),
+        (2, "x^3+y^3+z^3", ("x^2", "y^2", "z"), 2),
+        (3, "x^4+y^4+z^4", ("x^2", "y^2", "z^2"), 1),
+    ])
+    def test_inhomogeneous_divisor_takes_colon_then_preimage(self, paths, p, relation,
+                                                             gens, e):
+        R = RingContext(p, ["x", "y", "z"], relation)
+        A = R.ideal(*gens)
+        preimage = rings.twisted_colon(A, [R.parse("1+x")], p ** e)
+        assert paths == ["_colon_gens", "_preimage_by_elimination"]
+        assert preimage == frobenius_preimage(A, e)
 
 
 def test_linkage_lift_repeats_no_elimination_colon(monkeypatch):

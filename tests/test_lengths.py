@@ -101,4 +101,4 @@ class TestCornerLengthIdentity:
 
     def test_rejects_non_m_primary(self, fermat2):
         with pytest.raises(NotMPrimary):
-            corner_length_identity(fermat2.ideal("x"), 1)
+            corner_length_identity(fermat2.ideal("x"), 1, random.Random(0))

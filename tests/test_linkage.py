@@ -1,4 +1,5 @@
 import functools
+import inspect
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from charp.core import AlgebraError
 from charp.frobenius import bracket_power
+from charp.lengths import corner_length_identity
 from charp.linkage import (
     NotUnmixed,
     _lift,
@@ -21,6 +23,7 @@ from charp.rings import (
     RingContext,
     find_parameter_ideal,
     is_unmixed,
+    unmixed_part,
 )
 from charp.singularity import test_ideal as compute_test_ideal
 from test_groebner import monomials_of_degree, reference_narrow_kernel
@@ -40,7 +43,7 @@ class TestDirectLink:
     def test_worked_example_link(self, fermat2):
         I = fermat2.ideal("x^2", "y^2", "z^2")
         a = fermat2.ideal("x^2", "y^2")
-        J, used = direct_link(I, a, random.Random(0))
+        J, used = direct_link(I, a, rng=random.Random(0))
         assert used == a
         assert J == fermat2.ideal("x^2", "y^2", "z")
         # double link comes back
@@ -321,7 +324,6 @@ class TestTildeApprox:
 class TestMPrimaryLinkLift:
     def test_lift_contains_linked_ideal(self, fermat2):
         rng = random.Random(41)
-        from charp.rings import unmixed_part
         I = unmixed_part(fermat2.ideal("x"), rng)
         _, a = direct_link(I, rng=rng, check_unmixed=False)
         J = a.colon(I)
@@ -336,3 +338,13 @@ class TestMPrimaryLinkLift:
         a = find_parameter_ideal(I, rng)
         Jt = m_primary_link_lift(I, [a], 2, rng)
         assert Jt == a.colon(I)
+
+
+@pytest.mark.parametrize("function", [
+    direct_link, corner_power, tilde_approx, m_primary_link_lift,
+    unmixed_part, is_unmixed, corner_length_identity,
+])
+def test_randomized_functions_require_an_rng(function):
+    # every random draw comes from the caller's rng, so from a report's seed
+    rng = inspect.signature(function).parameters["rng"]
+    assert rng.default is inspect.Parameter.empty

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -295,7 +296,11 @@ class TestStarApprox:
         assert report.certified
         assert report.upper == fermat2.ideal("x", "y", "z^2")
 
-    def test_chain_recorded(self, fermat2):
-        report = star_approx(fermat2.ideal("x", "y"), 2)
-        assert len(report.chain) == 3
-        assert report.m_primary is True  # z^3 = x^3+y^3 lies in (x, y)
+    def test_upper_is_last_approximation(self, fermat2):
+        I = fermat2.ideal("x", "y")
+        assert star_approx(I, 2).upper == iq_approx(I, 2)
+
+
+@pytest.mark.parametrize("function", [iq_approx, star_colon, certify_not_in_star])
+def test_bounds_read_tau_and_c_from_the_ring(function):
+    assert not {"tau", "c"} & set(inspect.signature(function).parameters)
