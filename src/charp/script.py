@@ -118,7 +118,8 @@ _OPERATIONS = {
 
 
 class ScriptRunner:
-    """Executes one script, statement by statement, into a suite report."""
+    """Executes one script, statement by statement, into a suite report;
+    ``checks`` is that report's list, which ``bench/worker.py`` reads."""
 
     def __init__(self, seed: int = 0, name: str = "script"):
         self.rng = random.Random(seed)

@@ -75,6 +75,15 @@ class _Report:
             {"name": name, "status": "pass" if ok else "fail",
              "details": details})
 
+    def contains(self, name: str, outer: Ideal, inner: Ideal, details: str = ""):
+        self.check(name, outer.contains_ideal(inner), details)
+
+    def strictly(self, name: str, outer: Ideal, inner: Ideal, details: str = ""):
+        self.check(name, outer.contains_ideal(inner) and outer != inner, details)
+
+    def equal(self, name: str, A: Ideal, B: Ideal, details: str = ""):
+        self.check(name, A == B, details)
+
     def skip(self, name: str, reason: str):
         self.data["checks"].append(
             {"name": name, "status": "skip", "details": reason})
@@ -145,18 +154,15 @@ def _suite_paper_example(ring, params, rng, rep):
     I = _squares(ring)
     a = ring.ideal("x^2", "y^2")
     J = a.colon(I)
-    rep.check("colon(a,I) = (x^2,y^2,z)", J == ring.ideal("x^2", "y^2", "z"),
-              f"a:I = {_gb(J)}")
+    rep.equal("colon(a,I) = (x^2,y^2,z)", J, ring.ideal("x^2", "y^2", "z"), f"a:I = {_gb(J)}")
     corner = corner_power(I, 1, samples=2, rng=rng)
-    rep.check("I^<2> = (x^4,y^4):z^2",
-              corner == bracket_power(a, 1).colon(ring.ideal("z^2")), f"I^<2> = {_gb(corner)}")
+    rep.equal("I^<2> = (x^4,y^4):z^2", corner,
+              bracket_power(a, 1).colon(ring.ideal("z^2")), f"I^<2> = {_gb(corner)}")
     xyz = ring.parse("x*y*z")
-    rep.check("xyz in I^<2>", corner.contains(xyz), f"I^<2> = {_gb(corner)}")
+    rep.contains("xyz in I^<2>", corner, Ideal(ring, [xyz]), f"I^<2> = {_gb(corner)}")
     rep.check("xyz not in I", not I.contains(xyz), f"I = {_gb(I)}")
     bracket = bracket_power(I, 1)
-    rep.check("I^[2] strictly inside I^<2>",
-              corner.contains_ideal(bracket) and corner != bracket,
-              f"I^[2] = {_gb(bracket)}")
+    rep.strictly("I^[2] strictly inside I^<2>", corner, bracket, f"I^[2] = {_gb(bracket)}")
 
 
 def _suite_corner_welldef(ring, params, rng, rep):
@@ -176,45 +182,42 @@ def _suite_corner_containment(ring, params, rng, rep):
     for label, I in _fixtures(params, "ideal 0", lambda: _sample_unmixed(ring, 10, rng)):
         for e, q in exponents:
             corner = corner_power(I, e, samples=1, rng=rng)
-            rep.check(f"{label}: I^[{q}] subset I^<{q}>",
-                      corner.contains_ideal(bracket_power(I, e)),
-                      f"I = {_gb(I)}; I^<{q}> = {_gb(corner)}")
+            rep.contains(f"{label}: I^[{q}] subset I^<{q}>", corner, bracket_power(I, e),
+                         f"I = {_gb(I)}; I^<{q}> = {_gb(corner)}")
     # equality on parameter ideals
     for k in range(3):
         a = find_parameter_ideal(m, rng)
         for e, q in exponents:
             corner = corner_power(a, e, samples=1, rng=rng)
-            rep.check(f"parameter {k}: a^<{q}> = a^[{q}]",
-                      corner == bracket_power(a, e), f"a = {_gb(a)}")
+            rep.equal(f"parameter {k}: a^<{q}> = a^[{q}]",
+                      corner, bracket_power(a, e), f"a = {_gb(a)}")
     if ring.relation is not None and ring.poly.nvars == 3:
         I = _squares(ring)
         corner = corner_power(I, 1, samples=1, rng=rng)
-        bracket = bracket_power(I, 1)
-        rep.check("strict containment at q=2 for (x^2,y^2,z^2)",
-                  corner != bracket and corner.contains_ideal(bracket),
-                  f"I^<2> = {_gb(corner)}")
+        rep.strictly("strict containment at q=2 for (x^2,y^2,z^2)",
+                     corner, bracket_power(I, 1), f"I^<2> = {_gb(corner)}")
 
 
 def _suite_essential(ring, params, rng, rep):
     tau = test_ideal(ring).tau
     m = ring.maximal_ideal()
     trivial = tau.is_unit()
+    inside = rep.contains if trivial else rep.strictly
     for k in range(5):
         a = find_parameter_ideal(m, rng)
         star = star_colon(a)
-        strictly = star.contains_ideal(a) and (star != a or trivial)
-        rep.check(f"parameter {k}: a strictly inside a:tau"
-                  + (" (tau unit: equality allowed)" if trivial else ""),
-                  strictly, f"a = {_gb(a)}; a:tau = {_gb(star)}")
+        inside(f"parameter {k}: a strictly inside a:tau"
+               + (" (tau unit: equality allowed)" if trivial else ""),
+               star, a, f"a = {_gb(a)}; a:tau = {_gb(star)}")
         back = a.colon(star)
-        rep.check(f"parameter {k}: a:(a:tau) contains tau",
-                  back.contains_ideal(tau), f"a:(a:tau) = {_gb(back)}")
+        rep.contains(f"parameter {k}: a:(a:tau) contains tau",
+                     back, tau, f"a:(a:tau) = {_gb(back)}")
     I = params["ideal"] or _squares(ring)
     colon = I.colon(tau)
     for e, q in _exponents(ring, params["emax"]):
         rhs = corner_power(I, e, samples=1, rng=rng).colon(tau)
-        rep.check(f"(I:tau)^[{q}] subset I^<{q}>:tau",
-                  rhs.contains_ideal(bracket_power(colon, e)), f"I = {_gb(I)}")
+        rep.contains(f"(I:tau)^[{q}] subset I^<{q}>:tau",
+                     rhs, bracket_power(colon, e), f"I = {_gb(I)}")
 
 
 def _suite_decr(ring, params, rng, rep):
@@ -224,16 +227,15 @@ def _suite_decr(ring, params, rng, rep):
                                                     ("m", ring.maximal_ideal())]):
         chain = chains[label] = [iq_approx(I, e) for e, _ in levels]
         for (e, q), (_, pq) in zip(levels, levels[1:]):
-            rep.check(f"{label}: I_{pq} subset I_{q}",
-                      chain[e].contains_ideal(chain[e + 1]),
-                      f"I_{q} = {_gb(chain[e])}; I_{pq} = {_gb(chain[e + 1])}")
+            rep.contains(f"{label}: I_{pq} subset I_{q}", chain[e], chain[e + 1],
+                         f"I_{q} = {_gb(chain[e])}; I_{pq} = {_gb(chain[e + 1])}")
     a = _pair(ring)
     if a.height() == len(a.minimal_generators()):
         star = star_colon(a)
         chain = chains.get("(x,y)") or [iq_approx(a, e) for e, _ in levels]
         for (e, q), iq in zip(levels, chain):
-            rep.check(f"parameter (x,y): a:tau subset a_{q}",
-                      iq.contains_ideal(star), f"a_{q} = {_gb(iq)}")
+            rep.contains(f"parameter (x,y): a:tau subset a_{q}", iq, star,
+                         f"a_{q} = {_gb(iq)}")
 
 
 def _suite_higher(ring, params, rng, rep):
@@ -247,9 +249,8 @@ def _suite_higher(ring, params, rng, rep):
     for label, I in containing:
         for e, q in _exponents(ring, params["emax"]):
             corner = corner_power(I, e, samples=1, rng=rng)
-            rep.check(f"{label} contains tau: {label}^<{q}> contains tau",
-                      corner.contains_ideal(tau),
-                      f"{label}^<{q}> = {_gb(corner)}")
+            rep.contains(f"{label} contains tau: {label}^<{q}> contains tau",
+                         corner, tau, f"{label}^<{q}> = {_gb(corner)}")
     I = _pair(ring)
     if tau.is_unit() or not tau.contains_ideal(I) or I == tau:
         rep.skip("strict I inside tau shrinks", "tau is the unit ideal" if tau.is_unit()
@@ -287,9 +288,9 @@ def _suite_mapping_cone(ring, params, rng, rep):
         except AlgebraError as exc:
             rep.check(f"pair {k}: delta exists", False, str(exc))
             continue
-        rep.check(f"pair {k}: a:b = (a, delta)", a + Ideal(ring, [delta]) == a.colon(b),
+        rep.equal(f"pair {k}: a:b = (a, delta)", a + Ideal(ring, [delta]), a.colon(b),
                   f"a = {_gb(a)}; b = {_gb(b)}; delta = {delta}")
-        rep.check(f"pair {k}: a:delta = b", a.colon(Ideal(ring, [delta])) == b,
+        rep.equal(f"pair {k}: a:delta = b", a.colon(Ideal(ring, [delta])), b,
                   f"delta = {delta}")
         mixed = a + Ideal(ring, [delta * g for g in m.gens])
         rep.check(f"pair {k}: (a, delta*I) unmixed for I = m",
@@ -307,7 +308,7 @@ def _suite_case1(ring, params, rng, rep):
         b = find_parameter_ideal(I, rng)
         a = find_parameter_ideal(b, rng, min_bump=1)
         lhs = a.colon(b.colon(I))
-        rep.check(f"triple {k}: a:(b:I) = a + I(a:b)", lhs == a + I * a.colon(b),
+        rep.equal(f"triple {k}: a:(b:I) = a + I(a:b)", lhs, a + I * a.colon(b),
                   f"a = {_gb(a)}; b = {_gb(b)}; I = {_gb(I)}; lhs = {_gb(lhs)}")
 
 
@@ -338,8 +339,8 @@ def _suite_linkage_lift(ring, params, rng, rep):
             except AlgebraError as exc:
                 rep.check(f"chain {k}, t={t}: J_t exists", False, str(exc))
                 continue
-            rep.check(f"chain {k}, t={t}: J subset J_t", Jt.contains_ideal(J),
-                      f"I = {_gb(I)}; J = {_gb(J)}; J_t = {_gb(Jt)}")
+            rep.contains(f"chain {k}, t={t}: J subset J_t", Jt, J,
+                         f"I = {_gb(I)}; J = {_gb(J)}; J_t = {_gb(Jt)}")
 
 
 def _suite_main_theorem(ring, params, rng, rep):
@@ -357,18 +358,15 @@ def _suite_main_theorem(ring, params, rng, rep):
         colon = I.colon(tau)
         approx = star_approx(I, params["emax"])
         product = tilde * colon
-        rep.check(f"{label}: tilde(I)*(I:tau) subset upper bound of I^*",
-                  approx.upper.contains_ideal(product),
-                  f"tilde = {_gb(tilde)}; I:tau = {_gb(colon)}; "
-                  f"upper = {_gb(approx.upper)}")
+        rep.contains(f"{label}: tilde(I)*(I:tau) subset upper bound of I^*",
+                     approx.upper, product, f"tilde = {_gb(tilde)}; I:tau = {_gb(colon)}; "
+                     f"upper = {_gb(approx.upper)}")
         if approx.certified:
-            rep.check(f"{label}: containment against certified closure",
-                      approx.lower.contains_ideal(product),
-                      f"I^* = {_gb(approx.lower)}")
+            rep.contains(f"{label}: containment against certified closure",
+                         approx.lower, product, f"I^* = {_gb(approx.lower)}")
         if I.contains_ideal(tau):
-            rep.check(f"{label} contains tau: every explored link inside it",
-                      all(I.contains_ideal(node) for node in record.nodes),
-                      f"nodes = {[ _gb(n) for n in record.nodes ]}")
+            rep.contains(f"{label} contains tau: every explored link inside it", I, tilde,
+                         f"nodes = {[ _gb(n) for n in record.nodes ]}")
 
 
 def _suite_max_in_class(ring, params, rng, rep):
@@ -378,11 +376,9 @@ def _suite_max_in_class(ring, params, rng, rep):
             rep.skip(f"{label} maximal", "does not contain tau")
             continue
         tilde, record = _tilde(I, params, rng)
-        inside = all(I.contains_ideal(node) for node in record.nodes)
-        rep.check(f"{label}: every explored link inside {label}", inside,
-                  f"{len(record.nodes)} nodes explored")
-        rep.check(f"{label}: explored tilde equals {label}", tilde == I,
-                  f"tilde = {_gb(tilde)}")
+        rep.contains(f"{label}: every explored link inside {label}", I, tilde,
+                     f"{len(record.nodes)} nodes explored")
+        rep.equal(f"{label}: explored tilde equals {label}", tilde, I, f"tilde = {_gb(tilde)}")
 
 
 def _suite_lit(ring, params, rng, rep):
@@ -393,9 +389,8 @@ def _suite_lit(ring, params, rng, rep):
         return
     tilde, record = _tilde(tau, params, rng)
     rhs = tau * tau
-    rep.check("tilde(tau)*tau = tau^2", tilde * tau == rhs,
-              f"tilde = {_gb(tilde)}; tau^2 = {_gb(rhs)}; "
-              f"capped = {record.capped}")
+    rep.equal("tilde(tau)*tau = tau^2", tilde * tau, rhs,
+              f"tilde = {_gb(tilde)}; tau^2 = {_gb(rhs)}; capped = {record.capped}")
 
 
 # suite name -> (suite function, whether it reads --ideal)

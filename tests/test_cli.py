@@ -159,6 +159,20 @@ class TestRunCommand:
         assert set(data) == {"suite", "params", "seed", "checks", "timings"}
         assert data["checks"][0]["status"] == "pass"
 
+    def test_readme_example_script(self, tmp_path):
+        # the README's ``alg run scripts/paper_example.alg``
+        script = Path(__file__).resolve().parents[1] / "scripts" / "paper_example.alg"
+        out = tmp_path / "report.json"
+        result = run_charp(["run", str(script), "--json", str(out)])
+        assert result.returncode == 0, result.stderr
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["status"] for c in checks] == ["pass"] * 5
+        assert result.stdout.splitlines() == [
+            "gb(C) = [x*y*z, x^3+y^3+z^3, z^4, y^4, x*y^3+x*z^3]",
+            "len(C) = 28",
+            "height(I) = 2",
+        ]
+
 
 class TestVerifyCommand:
     def test_paper_example_passes(self, tmp_path):

@@ -31,14 +31,13 @@ def poly2():
 
 class TestTestElement:
     def test_polynomial_ring_gets_unit(self, poly2):
-        cert = compute_test_element(poly2)
-        assert cert.c == poly2.poly.one()
+        assert compute_test_element(poly2) == poly2.poly.one()
 
     def test_fermat_gets_jacobian_partial(self, fermat2):
-        cert = compute_test_element(fermat2)
-        assert not cert.c.is_zero()
+        c = compute_test_element(fermat2)
+        assert not c.is_zero()
         # the element survives in R and is coprime to the relation
-        assert not fermat2.zero_ideal().contains(cert.c)
+        assert not fermat2.zero_ideal().contains(c)
 
     def test_non_reduced_relation_fails(self):
         ring = RingContext(3, ["x", "y"], "x^2")
@@ -66,8 +65,7 @@ class TestTestIdeal:
         # x lies in tau = m, so it is a test element; the root of f * x is
         # (x^2, y, z), which misses x, so the chain (x) -> m -> m ascends
         # only because J_(k+1) keeps the generators of J_k
-        monkeypatch.setattr(singularity, "test_element",
-                            lambda ring: singularity.TestElementCertificate(ring.parse("x"), ring))
+        monkeypatch.setattr(singularity, "test_element", lambda ring: ring.parse("x"))
         result = compute_test_ideal(fermat2)
         assert result.chain[0] == fermat2.ideal("x")
         for earlier, later in zip(result.chain, result.chain[1:]):
@@ -181,6 +179,66 @@ class TestTestIdealKnownValues:
         assert compute_test_ideal(ring).tau.is_unit()
 
 
+FERMAT_CELLS = [(n, d, p) for n in (3, 4) for d in (3, 4, 5)
+                for p in (2, 3, 5, 7, 11, 13) if d % p]
+
+# (n, d, p) -> l(R/tau) where tau is strictly inside m^(a+1), or inside R
+# when a + 1 <= 0: the p = 2 quintic curve (the nine cubics other than
+# xyz), the p = 2 cubic surface (tau = m), the p = 3 quartic surface
+# (tau = m^2) and the quintic surface at p = 2 and 3
+FERMAT_STRICT = {(3, 5, 2): 11, (4, 3, 2): 1, (4, 4, 3): 5, (4, 5, 2): 20, (4, 5, 3): 9}
+
+
+def fermat_ring(n, d, p):
+    names = ["x", "y", "z", "w"][:n]
+    return RingContext(p, names, "+".join(f"{v}^{d}" for v in names))
+
+
+def f_pure(ring):
+    """Fedder's criterion in S: f^(p-1) is not in m^[p]."""
+    S, p = ring.polynomial_ring(), ring.field.p
+    return not Ideal(S, [v ** p for v in S.maximal_ideal().gens]).contains(
+        ring.relation ** (p - 1))
+
+
+class TestFermatTable:
+    """R = S/(f) for f = x_1^d + ... + x_n^d, with a-invariant a = d - n.
+    tau = Ann_R 0^* lies in R_(>= a+1), with equality for p >> 0 on an
+    isolated singularity (Huneke & Smith, J. reine angew. Math. 484 (1997);
+    Hara, Trans. AMS 353 (2001)); R is F-pure exactly when f^(p-1) is not
+    in m^[p] (Fedder, Trans. AMS 278 (1983))."""
+
+    def test_cells(self):
+        assert len(FERMAT_CELLS) == 30
+        assert set(FERMAT_STRICT) <= set(FERMAT_CELLS)
+
+    @pytest.mark.parametrize("n, d, p", FERMAT_CELLS)
+    def test_tau_against_the_a_invariant(self, n, d, p):
+        ring = fermat_ring(n, d, p)
+        tau = compute_test_ideal(ring).tau
+        bound = Ideal(ring, monomials_of_degree(ring, max(0, d - n + 1)))
+        assert bound.contains_ideal(tau)
+        if (n, d, p) in FERMAT_STRICT:
+            assert tau != bound
+            assert tau.colength() == FERMAT_STRICT[n, d, p]
+        else:
+            assert tau == bound
+
+    @pytest.mark.parametrize("n, d, p", FERMAT_CELLS)
+    def test_fedder_criterion_closed_form(self, n, d, p):
+        # f^(p-1) is a sum of multinomial terms x^(d k) with |k| = p - 1,
+        # each coefficient nonzero mod p; x^(d k) misses m^[p] exactly when
+        # every d k_i < p, and such a k exists iff n floor((p-1)/d) >= p - 1
+        assert f_pure(fermat_ring(n, d, p)) == (n * ((p - 1) // d) >= p - 1)
+
+    @pytest.mark.parametrize("n, d, primes", [(3, 3, [7, 13]), (4, 4, [5, 13])],
+                             ids=["cubic-curve", "quartic-surface"])
+    def test_f_pure_primes_are_one_mod_d(self, n, d, primes):
+        cells = [p for n_, d_, p in FERMAT_CELLS if (n_, d_) == (n, d)]
+        assert [p for p in cells if f_pure(fermat_ring(n, d, p))] == primes
+        assert primes == [p for p in cells if p % d == 1]
+
+
 CHAIN_RINGS = [(2, CUBIC), (5, CUBIC), (3, QUARTIC), (2, QUINTIC)]
 
 
@@ -188,7 +246,7 @@ class TestTestIdealAgainstRawChain:
     @pytest.mark.parametrize("p, relation", CHAIN_RINGS)
     def test_same_chain_step_by_step(self, p, relation):
         ring = xyz_ring(p, relation)
-        chain, stable_at, tau = raw_chain(ring, compute_test_element(ring).c)
+        chain, stable_at, tau = raw_chain(ring, compute_test_element(ring))
         result = compute_test_ideal(ring)
         assert result.chain == tuple(chain)
         assert result.stable_at == stable_at
@@ -266,18 +324,18 @@ class TestIqChain:
 class TestCertification:
     def test_certifies_non_membership(self, fermat2):
         # z is not in (x, y)^* = (x, y, z^2)
-        cert = certify_not_in_star("z", fermat2.ideal("x", "y"))
+        cert = certify_not_in_star(fermat2.parse("z"), fermat2.ideal("x", "y"))
         assert cert.certified
         assert cert.witness_e is not None
 
     def test_inconclusive_for_closure_element(self, fermat2):
         # z^2 IS in (x, y)^*, so no certificate can exist
-        cert = certify_not_in_star("z^2", fermat2.ideal("x", "y"))
+        cert = certify_not_in_star(fermat2.parse("z^2"), fermat2.ideal("x", "y"))
         assert not cert.certified
         assert cert.status == "inconclusive"
 
     def test_member_is_never_certified(self, fermat2):
-        cert = certify_not_in_star("x", fermat2.ideal("x", "y"))
+        cert = certify_not_in_star(fermat2.parse("x"), fermat2.ideal("x", "y"))
         assert not cert.certified
 
 

@@ -1,10 +1,12 @@
 import pytest
+from oracle import oracle_member, poly_to_dict
 
 from charp.core import AlgebraError
 from charp.suites import (
     BUILTIN_RINGS,
     SUITE_NAMES,
     UnknownSuite,
+    _Report,
     make_ring,
     report_exit_code,
     verify_suite,
@@ -140,3 +142,62 @@ class TestNestedPairs:
         for text in details:
             fields = dict(part.split(" = ", 1) for part in text.split("; "))
             assert fields["a"] != fields["b"]
+
+
+class TestOracleVerdicts:
+    """Every verdict that ``_Report.contains``, ``strictly`` and ``equal``
+    record in the 13 smallest-budget fermat2 reports at seed 0 (the
+    tests/golden/small pins) is decided again by the brute-force oracle,
+    which shares no code with the Groebner engine.  A membership is decided
+    when the element and the lifted generators are homogeneous and the
+    element's degree is at most 8, where the oracle's verdict is exact."""
+
+    MAX_DEGREE = 8
+    MAX_SKIPPED = 10
+
+    def test_recorded_verdicts_match_the_oracle(self, monkeypatch):
+        records = []
+        for kind in ("contains", "strictly", "equal"):
+            def spy(rep, name, A, B, details="", _kind=kind, _real=getattr(_Report, kind)):
+                _real(rep, name, A, B, details)
+                records.append((_kind, A, B, rep.data["checks"][-1]["status"]))
+            monkeypatch.setattr(_Report, kind, spy)
+        for suite in SUITE_NAMES:
+            verify_suite(suite, {"seed": 0, "emax": 1, "depth": 1, "samples": 2, "tmax": 1})
+        counts = {"decided": 0, "skipped": 0}
+
+        def inside(outer, inner):
+            """True or False when the oracle decides inner in outer, else None."""
+            ring = outer.ring.poly
+            lifted = outer.lift_gens()
+            gens = [poly_to_dict(g) for g in lifted]
+            verdict = True
+            for g in inner.gens:
+                if g.degree() > self.MAX_DEGREE or not all(
+                        h.is_homogeneous() for h in lifted + [g]):
+                    counts["skipped"] += 1
+                    if verdict:
+                        verdict = None
+                    continue
+                counts["decided"] += 1
+                member = oracle_member(poly_to_dict(g), gens, ring.nvars, ring.field.p)
+                assert member == outer.contains(g), (str(g), outer.gb_strings())
+                if not member:
+                    verdict = False
+            return verdict
+
+        def both(x, y):
+            return False if False in (x, y) else None if None in (x, y) else True
+
+        compared = 0
+        for kind, A, B, status in records:
+            forward, backward = inside(A, B), inside(B, A)
+            verdict = {"contains": forward,
+                       "strictly": both(forward, None if backward is None else not backward),
+                       "equal": both(forward, backward)}[kind]
+            if verdict is not None:
+                compared += 1
+                assert status == ("pass" if verdict else "fail"), (kind, A, B)
+        assert {kind for kind, *_ in records} == {"contains", "strictly", "equal"}
+        print(f"{len(records)} checks, {compared} compared; {counts}")
+        assert counts["skipped"] <= self.MAX_SKIPPED, counts
