@@ -5,7 +5,7 @@ ring of ``charp.suites.BUILTIN_RINGS``, drops the ``timings`` block and
 writes ``report_to_json`` of the rest to ``<out>/<suite>.json``.  ``GOLDEN``
 maps each pinned (ring, suite seed) to its directory, and ``SUITES`` lists
 the suites of a ring that runs fewer than all 13.  ``VARIANTS`` pins
-non-default parameters on fermat2 at seed 0, each set in
+non-default parameters on a ring at seed 0, each set in
 ``tests/golden/<name>``.  Run from the repository root:
 
     python scripts/make_golden.py                          # every pinned set
@@ -46,14 +46,17 @@ GOLDEN = {("fermat2", 0): _DIR,
           ("fermat5", 0): os.path.join(_DIR, "fermat5"),
           ("quartic3", 0): os.path.join(_DIR, "quartic3")}
 
-# name -> (``verify_suite`` parameters, suites), pinned on fermat2 at seed 0
-# in tests/golden/<name>: "ideal" gives an ideal to the six suites that read
-# --ideal, "small" runs all 13 at --qmax 1 --depth 1 --samples 2 --tmax 1
+# name -> (ring, ``verify_suite`` parameters, suites), pinned at seed 0 in
+# tests/golden/<name>: on fermat2, "ideal" gives an ideal to the six suites
+# that read --ideal and "small" runs all 13 at --qmax 1 --depth 1
+# --samples 2 --tmax 1; "fermat5-q2" runs all 13 on fermat5 at --qmax 2,
+# where q reaches 25
 VARIANTS = {
-    "ideal": ({"ideal": "x^2,y^2,z"},
+    "ideal": ("fermat2", {"ideal": "x^2,y^2,z"},
               ("corner-containment", "corner-welldef", "decr", "essential",
                "hk-identity", "main-theorem")),
-    "small": ({"emax": 1, "depth": 1, "samples": 2, "tmax": 1}, SUITE_NAMES),
+    "small": ("fermat2", {"emax": 1, "depth": 1, "samples": 2, "tmax": 1}, SUITE_NAMES),
+    "fermat5-q2": ("fermat5", {"emax": 2}, SUITE_NAMES),
 }
 
 
@@ -61,8 +64,8 @@ def pins():
     """(directory, ring, seed, parameters, suites) of every pinned set."""
     for (ring, seed), out in GOLDEN.items():
         yield out, ring, seed, {}, SUITES.get(ring, SUITE_NAMES)
-    for name, (params, suites) in VARIANTS.items():
-        yield os.path.join(_DIR, name), "fermat2", 0, params, suites
+    for name, (ring, params, suites) in VARIANTS.items():
+        yield os.path.join(_DIR, name), ring, 0, params, suites
 
 
 def golden_text(suite: str, seed: int, ring: str = "fermat2",
