@@ -57,11 +57,6 @@ def _root_terms(g: Polynomial, q: int) -> list:
     return list(buckets.values())
 
 
-def _root_of_polynomial(g: Polynomial, q: int) -> list:
-    """The roots of g (``_root_terms``) as polynomials."""
-    return [Polynomial(g.ring, terms) for terms in _root_terms(g, q)]
-
-
 def frobenius_root(J: Ideal, e: int) -> Ideal:
     """The minimal ideal K with J inside K^[q] (q = p^e).
 

@@ -54,12 +54,12 @@ def direct_link(I: Ideal, a: Ideal | None = None, *, rng: random.Random,
     """One direct link: J = a : I with the double link a : J = I verified.
 
     ``a`` is sampled via find_parameter_ideal when not given; the degenerate
-    link J = (1) (a = I) is rejected by resampling with a degree bump.
+    link J = (1) (a = I) is rejected by resampling with a degree bump.  A
+    given ``a`` is tried once, and J = (1) raises AlgebraError.
     Returns (J, a).
     """
     if check_unmixed and not is_unmixed(I, rng):
         raise NotUnmixed(f"{I!r} is not unmixed")
-    g = I.height()
     for trial in range(_MAX_LINK_TRIES):
         if a is None:
             # raise the degree floor on retries so principal ideals do not
@@ -74,11 +74,7 @@ def direct_link(I: Ideal, a: Ideal | None = None, *, rng: random.Random,
                 raise AlgebraError("double-link verification failed on unmixed input")
             return J, cand
         if a is not None:
-            # caller pinned a = I: deepen it once via generator products
-            a = Ideal(I.ring, [x * y for x, y in zip(a.gens, cand.gens)])
-            if a.is_zero() or a.height() != g:
-                a = None
-            continue
+            raise AlgebraError("the given parameter ideal links to (1): a : I = (1)")
     raise ParameterSearchFailed("every sampled parameter ideal equalled I")
 
 

@@ -14,8 +14,10 @@ echelon form, and equals ``buchberger``'s.
 At q = 1 the images come from border tables, NF(x_i * s) for the standard
 s of each degree, the multiplication tables of Faugere, Gianni, Lazard &
 Mora (J. Symb. Comp. 16, 1993): the row of x_i * u' * b is x_i times that
-of u' * b, starting from NF(b).  For q > 1, ``_Quotient.table`` lists NF(m)
-for every monomial m of the degrees q * d + deg b.
+of u' * b, starting from NF(b).  For q > 1, ``_Quotient.image`` divides
+each product u^q * b by A's basis with ``groebner._divide``, the one
+division loop, since the kernel reads no other monomial of degree
+q * d + deg b.
 
 Rows are ints with one field per standard monomial, and monomials are the
 grevlex keys that ``groebner`` divides with: multiplying monomials is one
@@ -30,10 +32,10 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import or_, xor
+from operator import or_
 
 from .core import GREVLEX, PolyRing
-from .groebner import _divide, _divisor, _from_keys, _guard, _staircase, _to_keys, packed_basis
+from .groebner import _divide, _from_keys, _guard, _staircase, _to_keys, packed_basis
 
 
 def _keys_of_degree(units, e: int) -> list:
@@ -176,7 +178,6 @@ class _Quotient:
         self.standard = {d: list(ks) for d, ks in itertools.groupby(keys, key=self.degree)}
         self.top = max(self.standard, default=-1)
         self.reducers = packed_basis(gb)
-        self.leads = [lead for lead, _, _, _ in self.reducers]
         self._index = {}
 
     def degree(self, k: int) -> int:
@@ -188,34 +189,6 @@ class _Quotient:
         if d not in self._index:
             self._index[d] = {k: i for i, k in enumerate(self.standard[d])}
         return self._index[d]
-
-    def table(self, e: int) -> dict:
-        """{k: NF(m)} for every monomial m of degree e, k its key and NF(m) a
-        packed row.
-
-        A non-standard m = x^c * lead(g) has NF(m) = -sum c_t NF(x^c * t)
-        over g's tail terms t; each x^c * t is smaller than m, so walking the
-        monomials in ascending grevlex finds its normal form already computed.
-        """
-        standard, b, p = self.standard[e] + [None], self.width, self.p
-        reducers, leads, guard = self.reducers, self.leads, self.guard
-        normal = p != 2 and _normaliser(p, len(standard) - 1)
-        table, i = {}, 0
-        for k in _keys_of_degree(self.units, e):
-            if k == standard[i]:  # both ascend in grevlex: k is standard[e][i]
-                table[k] = 1 << i * b
-                i += 1
-                continue
-            lead, _, tail, _ = reducers[_divisor(leads, k, guard)]
-            shift = k - lead
-            if normal:
-                row = 0
-                for t, c in tail:
-                    row = normal(row + c * table[t + shift])
-                table[k] = normal((p - 1) * row)  # negated once, not per term
-            else:
-                table[k] = reduce(xor, [table[t + shift] for t, _ in tail], 0)
-        return table
 
     def borders(self):
         """Yield (table, ``_normaliser`` or False at p = 2) for e = 1, ..., top,
@@ -270,32 +243,21 @@ class _Quotient:
         parents = [parents[k] for k in self.standard[d]]
         return [[self.times(row[i], e, u, border) for u, i in parents] for row in rows]
 
-    def image(self, divisors, q: int, e: int, table: dict):
-        """u -> NF(u^q * b_j) concatenated at field offset j * len(standard[e]),
-        u and the ``divisors`` of one degree given by keys, {key: coefficient},
-        and ``table`` the normal forms of degree e = q * deg u + deg b; the
-        key of u^q * t is q * u + t."""
-        offset = len(self.standard[e]) * self.width
-        normal = self.p != 2 and _normaliser(self.p, len(self.standard[e]))
+    def image(self, divisors, q: int, d: int, e: int):
+        """i -> NF(u^q * b_j) for the i-th standard u of degree d, packed over
+        ``index(e)`` at field offset j * len(standard[e]), with the
+        ``divisors`` b_j of degree e - q * d given as NF(b_j), {key:
+        coefficient}.  Each product, key q * u + t for a term t of b_j, is
+        divided alone: the kernel reads no other monomial of degree e."""
+        keys, index, b, p = self.standard[d], self.index(e), self.width, self.p
+        reducers, guard, offset = self.reducers, self.guard, len(index) * b
 
-        def image(uk):
-            uk *= q
-            out = 0
-            for j, terms in enumerate(divisors):
-                if normal:
-                    acc = 0
-                    for t, c in terms.items():
-                        acc = normal(acc + c * table[uk + t])
-                else:
-                    acc = reduce(xor, [table[uk + t] for t in terms], 0)
-                out |= acc << j * offset
-            return out
+        def image(i):
+            uk = q * keys[i]
+            return sum(sum(c << index[k] * b for k, c in _divide(
+                {uk + t: c for t, c in terms.items()}, reducers, guard, p).items())
+                << j * offset for j, terms in enumerate(divisors))
         return image
-
-    def narrow(self, kernel, d: int, image) -> list:
-        """``_narrow`` of a degree-d kernel (None: all of it) by ``image``."""
-        keys = self.standard[d]
-        return _narrow(kernel, len(keys), lambda i: image(keys[i]), self.p)
 
     def basis(self, kernels: dict) -> list:
         """Reduced grevlex GB of A + V, V given by ``kernels``: degree -> kernel
@@ -381,7 +343,7 @@ def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
     borders = quotient.borders() if q == 1 else None
     rows = dict(by_degree)  # at q = 1, delta -> multiples of its divisors at degree e
     for e in range(quotient.top + 1):
-        border, table = next(borders) if borders and e else None, None
+        border = next(borders) if borders and e else None
         for delta in sorted(by_degree):
             d, rest = divmod(e - delta, q)
             if d < 0 or rest:
@@ -394,9 +356,7 @@ def frobenius_colon(quotient: _Quotient, divisors, q: int = 1):
                 offset = len(quotient.standard[e]) * quotient.width
                 image = rs[0].__getitem__ if len(rs) == 1 else lambda i: sum(
                     r[i] << j * offset for j, r in enumerate(rs))
-                kernels[d] = _narrow(kernels.get(d), len(rs[0]), image, quotient.p)
             else:
-                table = table or quotient.table(e)
-                image = quotient.image(by_degree[delta], q, e, table)
-                kernels[d] = quotient.narrow(kernels.get(d), d, image)
+                image = quotient.image(by_degree[delta], q, d, e)
+            kernels[d] = _narrow(kernels.get(d), len(quotient.standard[d]), image, quotient.p)
     return quotient.basis(kernels)

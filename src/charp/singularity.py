@@ -121,9 +121,8 @@ def iq_approx(I: Ideal, e: int) -> Ideal:
     With A = tau I^[q], I_q = {u : u^q t in A for each generator t of tau},
     one call of ``rings.twisted_colon``.  When tau is homogeneous and the
     lift of A is homogeneous of finite colength, that is one run of the
-    kernel of u -> (NF_A(u^q t))_t, which needs the normal forms of the
-    degrees q deg u + deg t alone; otherwise it is the Frobenius preimage
-    of the colon A : tau.
+    kernel of u -> (NF_A(u^q t))_t, which divides only those products;
+    otherwise it is the Frobenius preimage of the colon A : tau.
     """
     tau = test_ideal(I.ring).tau
     return twisted_colon(tau * bracket_power(I, e), tau.gens, frobenius_q(I.ring, e))

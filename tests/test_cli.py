@@ -66,6 +66,15 @@ class TestRunCommand:
         assert main(["run", str(f)]) == 2
         assert capsys.readouterr().err == "error: expected an integer, got 'foo'\n"
 
+    def test_exit_two_on_link_to_unit(self, tmp_path, capsys):
+        # a : a = (1): the given a is not replaced by another parameter ideal
+        f = tmp_path / "link.alg"
+        f.write_text("ring R = char 2 vars x, y, z mod x^3+y^3+z^3;\n"
+                     "ideal A = x^2, y^2;\nJ = link(A,A);")
+        assert main(["run", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_exit_two_on_missing_file(self):
         assert main(["run", "/nonexistent/x.alg"]) == 2
 

@@ -9,7 +9,7 @@ from charp import rings
 from charp.core import MAX_EXPONENT, ExponentOverflow, Polynomial
 from charp.frobenius import (
     QuotientContextUnsupported,
-    _root_of_polynomial,
+    _root_terms,
     bracket_power,
     frobenius_preimage,
     frobenius_q,
@@ -152,7 +152,8 @@ class TestFrobeniusRoot:
         # the same ideal as the raw roots, generated by the first root of
         # each scalar class, made monic, in the order the roots come
         J, e = case
-        raw = [r for g in J.gens for r in _root_of_polynomial(g, frobenius_q(J.ring, e))]
+        q = frobenius_q(J.ring, e)
+        raw = [Polynomial(g.ring, terms) for g in J.gens for terms in _root_terms(g, q)]
         first = []
         for r in raw:
             if r.monic() not in first:

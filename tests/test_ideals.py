@@ -665,16 +665,18 @@ class TestColonByLinearAlgebra:
 
     def test_divisors_in_dividend_tabulate_nothing(self):
         # x^2 + 2y^2 and x*z^2 lie in A at or below its top standard degree,
-        # 3 (x*y*z), and y^4 above it: the colon is (1), and no degree is
-        # tabulated, by the full table or the border tables
+        # 3 (x*y*z), and y^4 above it: the colon is (1) at q = 1 and at
+        # q = 5, and no degree is tabulated, by the border tables or the
+        # q > 1 images
         R = PolyRing(5, ["x", "y", "z"])
         A = [R.parse("x^2"), R.parse("y^2"), R.parse("z^2+x*y")]
         divisors = [R.parse("x^2+2y^2"), R.parse("x*z^2"), R.parse("y^4")]
-        with mock.patch.object(quotient_module._Quotient, "table") as table, \
+        with mock.patch.object(quotient_module._Quotient, "image") as image, \
                 mock.patch.object(quotient_module._Quotient, "borders") as borders:
             fast, slow = _both_colons(R, A, divisors)
-        assert table.call_count == borders.call_count == 0
-        assert fast == slow == [R.one()]
+            twisted = frobenius_colon(zero_dimensional_quotient(buchberger(A), R), divisors, 5)
+        assert image.call_count == borders.call_count == 0
+        assert fast == slow == twisted == [R.one()]
 
     @settings(max_examples=100, deadline=None)
     @given(zero_dim_colons(), st.data())

@@ -63,6 +63,12 @@ class TestDirectLink:
         with pytest.raises(NotUnmixed):
             direct_link(mixed, rng=random.Random(1))
 
+    def test_given_a_linking_to_unit_raises(self, fermat2):
+        # a : I = (1) for a = I: a given a is tried once, never replaced
+        a = fermat2.ideal("x^2", "y^2")
+        with pytest.raises(AlgebraError, match=r"a : I = \(1\)"):
+            direct_link(a, a, rng=random.Random(0))
+
     def test_height_one_link(self, fermat2):
         I = fermat2.ideal("x")
         J, a = direct_link(I, rng=random.Random(2), check_unmixed=False)

@@ -6,7 +6,7 @@ import pytest
 
 from charp import singularity
 from charp.core import Polynomial
-from charp.frobenius import _root_of_polynomial, bracket_power, frobenius_root
+from charp.frobenius import _root_terms, bracket_power, frobenius_root
 from charp.rings import Ideal, RingContext, find_parameter_ideal
 from charp.singularity import (
     NoTestElementFound,
@@ -79,7 +79,7 @@ class TestTestIdeal:
 
         def spy(J, e):
             root = frobenius_root(J, e)
-            steps.append((sum(len(_root_of_polynomial(g, 23)) for g in J.gens),
+            steps.append((sum(len(_root_terms(g, 23)) for g in J.gens),
                           len(root.gens)))
             return root
         monkeypatch.setattr(singularity, "frobenius_root", spy)
